@@ -480,7 +480,7 @@ let recovery () =
       scenario
   in
   recovery_outcome := Some o;
-  Fmt.pr "  %a@." Workload.Chaos.pp_outcome o;
+  Fmt.pr "  %a@." Modelcheck.Conformance.pp_outcome o;
   List.iter
     (fun (r : Mu.Smr.rejoin) ->
       Fmt.pr
@@ -495,10 +495,11 @@ let recovery () =
   if o.Workload.Chaos.shed > 0 then
     Fmt.pr "  requests shed by the queue bound: %d@." o.Workload.Chaos.shed;
   record_check "recovery_kill_restart"
-    (Workload.Chaos.passed o && o.Workload.Chaos.rejoins <> [])
-    (Fmt.str "%a" Workload.Chaos.pp_outcome o);
-  Fmt.pr "  check: rejoin reached parity, run linearizable + invariant-clean: %s@."
-    (if Workload.Chaos.passed o && o.Workload.Chaos.rejoins <> [] then "OK" else "FAIL")
+    (Modelcheck.Conformance.passed o && o.Workload.Chaos.rejoins <> [])
+    (Fmt.str "%a" Modelcheck.Conformance.pp_outcome o);
+  Fmt.pr "  check: rejoin reached parity, run model-conformant + invariant-clean: %s@."
+    (if Modelcheck.Conformance.passed o && o.Workload.Chaos.rejoins <> [] then "OK"
+     else "FAIL")
 
 (* --- Serving tier -------------------------------------------------------- *)
 
@@ -592,7 +593,7 @@ let monitor () =
   let log = Monitor.Online.log online in
   monitor_log := Some log;
   monitor_windows := Monitor.Online.windows online;
-  Fmt.pr "  %a@." Workload.Chaos.pp_outcome o;
+  Fmt.pr "  %a@." Modelcheck.Conformance.pp_outcome o;
   Fmt.pr "  windows evaluated: %d; alert edges: %d@." (Monitor.Online.windows online)
     (Monitor.Log.length log);
   List.iter (fun en -> Fmt.pr "  %a@." Monitor.Log.pp_entry en) (Monitor.Log.entries log);
@@ -1006,7 +1007,7 @@ let () =
      Buffer.add_string b
        (Printf.sprintf
           "{\"passed\":%b,\"rejoins\":[%s],\"shed\":%d,\"degraded_ns\":%d}"
-          (Workload.Chaos.passed o) rejoins o.Workload.Chaos.shed
+          (Modelcheck.Conformance.passed o) rejoins o.Workload.Chaos.shed
           o.Workload.Chaos.degraded_ns)
    | None -> Buffer.add_string b "null");
    Buffer.add_string b ",\"serving\":";

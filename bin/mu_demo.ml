@@ -337,15 +337,15 @@ let chaos_cmd =
   let finish ~repro_file failures =
     match failures with
     | [] ->
-      Fmt.pr "all runs passed (invariants + linearizability)@.";
+      Fmt.pr "all runs passed (invariants + model conformance)@.";
       0
     | worst :: _ ->
       (match repro_file with
       | Some file ->
-        write_file file (Workload.Chaos.repro_json worst);
+        write_file file (Modelcheck.Conformance.repro_json worst);
         Fmt.pr "minimized repro written to %s@." file
       | None ->
-        Fmt.pr "minimized repro: %s@." (Workload.Chaos.repro_json worst));
+        Fmt.pr "minimized repro: %s@." (Modelcheck.Conformance.repro_json worst));
       1
   in
   let run () seed n scenario_spec sweep replay repro_file trace_file =
@@ -357,32 +357,33 @@ let chaos_cmd =
       | Some file, _ ->
         (* Replay a failing run from its minimized repro: same seed, same
            scenario, byte-identical execution. *)
-        (match Workload.Chaos.parse_repro (read_file file) with
+        (match Modelcheck.Conformance.parse_repro (read_file file) with
         | Error msg ->
           Fmt.epr "%s@." msg;
           2
         | Ok (seed, n, scenario) ->
           let o = Workload.Chaos.run ?trace:tracer ~seed ~n scenario in
-          Fmt.pr "%a@." Workload.Chaos.pp_outcome o;
-          finish ~repro_file (if Workload.Chaos.passed o then [] else [ o ]))
+          Fmt.pr "%a@." Modelcheck.Conformance.pp_outcome o;
+          finish ~repro_file (if Modelcheck.Conformance.passed o then [] else [ o ]))
       | None, Some count ->
         let result =
-          Workload.Chaos.sweep ~count ~ns:[ 3; 5 ] ~seed:(Int64.of_int seed)
-            ~log:(fun i o -> Fmt.pr "[%3d/%d] %a@." (i + 1) count Workload.Chaos.pp_outcome o)
+          Modelcheck.Verify.chaos_sweep ~count ~ns:[ 3; 5 ] ~seed:(Int64.of_int seed)
+            ~log:(fun i o ->
+              Fmt.pr "[%3d/%d] %a@." (i + 1) count Modelcheck.Conformance.pp_outcome o)
             ()
         in
         Fmt.pr "%d/%d runs passed@."
-          (result.Workload.Chaos.runs - List.length result.Workload.Chaos.failures)
-          result.Workload.Chaos.runs;
+          (result.Modelcheck.Verify.runs - List.length result.Modelcheck.Verify.failures)
+          result.Modelcheck.Verify.runs;
         (* Coverage of the generated fault mix — every action kind listed,
            zeros included, so a silently-dead generator branch is visible. *)
-        Fmt.pr "%a@." Faults.Scenario.pp_coverage result.Workload.Chaos.coverage;
-        finish ~repro_file result.Workload.Chaos.failures
+        Fmt.pr "%a@." Faults.Scenario.pp_coverage result.Modelcheck.Verify.fault_mix;
+        finish ~repro_file result.Modelcheck.Verify.failures
       | None, None ->
         let scenario = scenario_or_die ~n scenario_spec in
         let o = Workload.Chaos.run ?trace:tracer ~seed:(Int64.of_int seed) ~n scenario in
-        Fmt.pr "%a@." Workload.Chaos.pp_outcome o;
-        finish ~repro_file (if Workload.Chaos.passed o then [] else [ o ])
+        Fmt.pr "%a@." Modelcheck.Conformance.pp_outcome o;
+        finish ~repro_file (if Modelcheck.Conformance.passed o then [] else [ o ])
     in
     (match tracer, trace_file with
     | Some tr, Some file ->
@@ -440,8 +441,8 @@ let chaos_cmd =
     (Cmd.info "chaos"
        ~doc:
          "Run Mu under injected faults (crashes, partitions, loss, forced \
-          permission failures) and check linearizability plus the Appendix A \
-          invariants. Exits non-zero on any violation.")
+          permission failures) and check the replies against the pure KV \
+          model plus the Appendix A invariants. Exits non-zero on any violation.")
     Term.(
       const run $ setup_logs $ seed_arg $ n_arg $ scenario_arg $ sweep_arg $ replay_arg
       $ repro_arg $ trace_arg)
@@ -660,7 +661,7 @@ let watch_cmd =
           monitor := Some m)
         ~clients ~ops_per_client:ops ~think ~seed:(Int64.of_int seed) ~n scenario
     in
-    Fmt.pr "---@.%a@." Workload.Chaos.pp_outcome o;
+    Fmt.pr "---@.%a@." Modelcheck.Conformance.pp_outcome o;
     (match !monitor with
     | None -> ()
     | Some m ->
@@ -676,7 +677,7 @@ let watch_cmd =
         close_out oc;
         Fmt.pr "alert log written to %s@." file
       | None -> ()));
-    exit (if Workload.Chaos.passed o then 0 else 1)
+    exit (if Modelcheck.Conformance.passed o then 0 else 1)
   in
   let n_arg =
     Arg.(value & opt int 3 & info [ "n" ] ~docv:"N" ~doc:"Replicas in the cluster.")
@@ -849,7 +850,7 @@ let explain_cmd =
     let seed_override, n, scenario, is_repro =
       if Sys.file_exists spec then begin
         let s = read_file spec in
-        match Workload.Chaos.parse_repro s with
+        match Modelcheck.Conformance.parse_repro s with
         | Ok (seed, n, scenario) -> (Some seed, n, scenario, true)
         | Error _ -> (
           match Faults.Scenario.of_string s with
@@ -865,7 +866,7 @@ let explain_cmd =
        library's client defaults. For a plain scenario, think time
        stretches a small history across the named faults (5 ms in) so
        requests are genuinely in flight at the fail-over — more load
-       instead would explode the linearizability check. *)
+       instead would explode the conformance check. *)
     let ops_per_client, think =
       match ops_opt with
       | Some v -> (Some v, Some 100_000)
@@ -878,7 +879,7 @@ let explain_cmd =
     in
     let events = Trace.Tracer.events tr in
     let tree = Prov.Tree.of_events events in
-    Fmt.pr "=== explain: chaos run ===@.%a@." Workload.Chaos.pp_outcome o;
+    Fmt.pr "=== explain: chaos run ===@.%a@." Modelcheck.Conformance.pp_outcome o;
     print_health tree;
     print_epochs events;
     let horizon =

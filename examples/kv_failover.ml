@@ -1,6 +1,6 @@
-(* A replicated key-value store surviving repeated leader failures, with a
-   client-observed linearizability check at the end — exercising the
-   paper's safety claim (§1) end to end.
+(* A replicated key-value store surviving repeated leader failures, with
+   every client-observed reply checked against the pure KV model at the
+   end — exercising the paper's linearizability claim (§1) end to end.
 
    Run with: dune exec examples/kv_failover.exe *)
 
@@ -43,44 +43,25 @@ let () =
           Sim.Engine.sleep engine (100_000 + Sim.Rng.int rng 400_000);
           let key = Printf.sprintf "k%d" (Sim.Rng.int rng 4) in
           let req_id = (proc * 10_000) + i in
+          let cmd =
+            if Sim.Rng.bool rng then
+              Apps.Kv_store.Put { key; value = Printf.sprintf "c%d-%d" proc i }
+            else Apps.Kv_store.Get { key }
+          in
           let invoked = Sim.Engine.now engine in
-          if Sim.Rng.bool rng then begin
-            let value = Printf.sprintf "c%d-%d" proc i in
-            ignore
-              (Mu.Smr.submit smr
-                 (Apps.Kv_store.encode_command ~client:proc ~req_id
-                    (Apps.Kv_store.Put { key; value })));
-            history :=
-              {
-                Workload.Linearizability.proc;
-                invoked;
-                responded = Sim.Engine.now engine;
-                key;
-                kind = Workload.Linearizability.Write value;
-              }
-              :: !history
-          end
-          else begin
-            let reply =
-              Mu.Smr.submit smr
-                (Apps.Kv_store.encode_command ~client:proc ~req_id
-                   (Apps.Kv_store.Get { key }))
-            in
-            let observed =
-              match Apps.Kv_store.decode_reply reply with
-              | Some (Apps.Kv_store.Value v) -> Some v
-              | _ -> None
-            in
-            history :=
-              {
-                Workload.Linearizability.proc;
-                invoked;
-                responded = Sim.Engine.now engine;
-                key;
-                kind = Workload.Linearizability.Read observed;
-              }
-              :: !history
-          end
+          let reply =
+            Mu.Smr.submit smr (Apps.Kv_store.encode_command ~client:proc ~req_id cmd)
+          in
+          history :=
+            {
+              Workload.Chaos.r_proc = proc;
+              r_req = req_id;
+              r_invoked = invoked;
+              r_responded = Sim.Engine.now engine;
+              r_cmd = cmd;
+              r_reply = Apps.Kv_store.decode_reply reply;
+            }
+            :: !history
         done;
         incr done_count;
         if !done_count = clients then begin
@@ -93,11 +74,20 @@ let () =
   let ops = !history in
   Fmt.pr "@.%d operations from %d clients across %d forced fail-overs@." (List.length ops)
     clients rounds;
-  let reads = List.length (List.filter (fun o -> match o.Workload.Linearizability.kind with Workload.Linearizability.Read _ -> true | _ -> false) ops) in
+  let reads =
+    List.length
+      (List.filter
+         (fun (r : Workload.Chaos.recorded) ->
+           match r.r_cmd with Apps.Kv_store.Get _ -> true | _ -> false)
+         ops)
+  in
   Fmt.pr "  %d writes, %d reads@." (List.length ops - reads) reads;
-  if Workload.Linearizability.check ops then
-    Fmt.pr "  history is LINEARIZABLE — strong consistency held through failures@."
-  else begin
-    Fmt.pr "  history is NOT linearizable — consistency violation!@.";
+  match Modelcheck.Conformance.check ops with
+  | None ->
+    Fmt.pr
+      "  every reply CONFORMS to the sequential KV model — strong consistency held \
+       through failures@."
+  | Some w ->
+    Fmt.pr "  replies do NOT conform to the KV model — consistency violation!@.  %a@."
+      Modelcheck.Conformance.pp_witness w;
     exit 1
-  end

@@ -79,13 +79,13 @@ let by_key records =
 
 (* --- minimal witness ------------------------------------------------------ *)
 
-(* Sound removal guard, mirroring Linearizability.removable: dropping [o]
-   from a conformant sub-history must keep it conformant, so a candidate
-   that still fails is a genuine counterexample. Reads only constrain;
-   a write is kept while any retained read observed its value or any
-   retained delete answered [Deleted] (its success may rest on this
-   write); a delete is kept while any retained reply asserts absence
-   ([Not_found] from a read or another delete). *)
+(* Sound removal guard: dropping [o] from a conformant sub-history must
+   keep it conformant, so a candidate that still fails is a genuine
+   counterexample. Reads only constrain; a write is kept while any
+   retained read observed its value or any retained delete answered
+   [Deleted] (its success may rest on this write); a delete is kept while
+   any retained reply asserts absence ([Not_found] from a read or another
+   delete). *)
 let removable retained (o : recorded) =
   let depends pred = List.exists (fun r -> r != o && pred r) retained in
   match o.r_cmd with
@@ -189,3 +189,80 @@ let judge (o : outcome) =
     if o.violations <> [] then (Invariant_violation, None)
     else if not o.completed then (Stall, None)
     else (Pass, None)
+
+let passed o = fst (judge o) = Pass
+
+let pp_outcome ppf o =
+  let witness = check o.record in
+  let failures =
+    (if o.completed then [] else [ "stalled" ])
+    @ (if witness = None then [] else [ "NOT CONFORMANT" ])
+    @
+    match o.violations with
+    | [] -> []
+    | vs -> [ Printf.sprintf "%d invariant violation(s)" (List.length vs) ]
+  in
+  Fmt.pf ppf "%-18s seed=%-8Ld n=%d  %4d ops, %4d committed%s  %s"
+    o.scenario.Faults.Scenario.name o.seed o.n o.ops o.committed
+    (match o.rejoins with
+    | [] -> ""
+    | rs ->
+      Fmt.str ", %d rejoin%s (%s)" (List.length rs)
+        (if List.length rs = 1 then "" else "s")
+        (String.concat ", "
+           (List.map
+              (fun r ->
+                Printf.sprintf "host %d: %d entries in %dus" r.Mu.Smr.pid
+                  r.Mu.Smr.entries_pulled
+                  ((r.Mu.Smr.parity_at - r.Mu.Smr.restarted_at) / 1_000))
+              rs)))
+    (if failures = [] then "ok" else String.concat ", " failures);
+  (* The witness only ever extends a failing line, so passing lines keep
+     their one-line format. *)
+  Option.iter (Fmt.pf ppf "@\n  %a" pp_witness) witness
+
+(* --- chaos repro ------------------------------------------------------------ *)
+
+(* Everything needed to replay a failing run byte-for-byte: the seed, the
+   replica count and the full scenario. The violation summary is carried
+   for humans; replay only needs the first three. *)
+let repro_json o =
+  Faults.Json.to_string
+    (Faults.Json.Obj
+       [
+         ("seed", Faults.Json.Str (Int64.to_string o.seed));
+         ("n", Faults.Json.num_of_int o.n);
+         ("scenario", Faults.Scenario.to_json o.scenario);
+         ( "violation",
+           Faults.Json.Str
+             (match fst (judge o) with
+             | Not_conformant -> "replies not conformant to the KV model"
+             | Invariant_violation ->
+               Fmt.str "%a" (Fmt.list Mu.Invariants.pp_violation) o.violations
+             | Stall -> "liveness stall (clients never finished)"
+             | Pass -> "none") );
+       ])
+
+let parse_repro s =
+  let ( let* ) = Result.bind in
+  let* j = Faults.Json.of_string s in
+  let* seed =
+    match Option.bind (Faults.Json.member "seed" j) Faults.Json.to_str with
+    | Some s -> (
+      match Int64.of_string_opt s with
+      | Some v -> Ok v
+      | None -> Error (Printf.sprintf "repro: bad seed %S" s))
+    | None -> Error "repro: missing \"seed\""
+  in
+  let* n =
+    match Option.bind (Faults.Json.member "n" j) Faults.Json.to_int with
+    | Some n -> Ok n
+    | None -> Error "repro: missing \"n\""
+  in
+  let* scenario =
+    match Faults.Json.member "scenario" j with
+    | Some sj -> Faults.Scenario.of_json sj
+    | None -> Error "repro: missing \"scenario\""
+  in
+  let* () = Faults.Scenario.validate ~n scenario in
+  Ok (seed, n, scenario)

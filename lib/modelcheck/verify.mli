@@ -42,3 +42,29 @@ val replay : Repro.t -> Shrink.result * string
 (** Re-execute a bundle's triple and re-emit the bundle with the verdict
     the run actually produced: byte-identical to the input exactly when
     the failure still reproduces. *)
+
+(** {1 Random-client chaos sweep} *)
+
+type chaos_sweep = {
+  runs : int;
+  failures : Workload.Chaos.outcome list;
+  fault_mix : Faults.Scenario.coverage;
+      (** What the generator actually exercised across the sweep: action
+          counts, partition shapes, crash/restart mix. Surfaced so a
+          sweep can never silently narrow its fault coverage. *)
+}
+
+val chaos_sweep :
+  ?count:int ->
+  ?ns:int list ->
+  ?log:(int -> Workload.Chaos.outcome -> unit) ->
+  seed:int64 ->
+  unit ->
+  chaos_sweep
+(** [chaos_sweep ~seed ()] runs [count] (default 50) generated scenarios
+    with {!Workload.Chaos.run}'s random clients, cluster sizes cycling
+    through [ns] (default [[3; 5]]), per-case seeds and scenarios drawn
+    exactly as in {!sweep}, and judges each with
+    {!Conformance.passed}. Each failure replays from its seed, and
+    {!Conformance.repro_json} of it is a complete repro. [log] observes
+    every outcome as it completes. *)

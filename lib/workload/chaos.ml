@@ -1,7 +1,7 @@
-(* Chaos harness: run a Mu cluster under an injected fault scenario while
-   KV clients collect a real-time history, then check the two safety nets
-   the paper's claims rest on — the Appendix A invariants over replica
-   state and linearizability of the observed history (§2.2). *)
+(* Chaos harness: run a (possibly sharded) Mu cluster under an injected
+   fault scenario while KV clients record a real-time history of every
+   request and reply. Judging the run — model conformance of the replies
+   and the Appendix A invariants — is lib/modelcheck's job. *)
 
 type scripted_op = { s_think : int; s_req : int; s_cmd : Apps.Kv_store.command }
 
@@ -21,8 +21,6 @@ type outcome = {
   completed : bool;
   ops : int;
   committed : int;
-  linearizable : bool;
-  witness : Linearizability.witness option;
   record : recorded list;
   violations : Mu.Invariants.violation list;
   rejoins : Mu.Smr.rejoin list;
@@ -30,127 +28,64 @@ type outcome = {
   degraded_ns : int;
 }
 
-let passed o = o.linearizable && o.violations = [] && o.completed
+let key_of = function
+  | Apps.Kv_store.Get { key } | Apps.Kv_store.Delete { key } -> key
+  | Apps.Kv_store.Put { key; _ } -> key
 
-let pp_outcome ppf o =
-  Fmt.pf ppf "%-18s seed=%-8Ld n=%d  %4d ops, %4d committed%s  %s"
-    o.scenario.Faults.Scenario.name o.seed o.n o.ops o.committed
-    (match o.rejoins with
-    | [] -> ""
-    | rs ->
-      Fmt.str ", %d rejoin%s (%s)" (List.length rs)
-        (if List.length rs = 1 then "" else "s")
-        (String.concat ", "
-           (List.map
-              (fun r ->
-                Printf.sprintf "host %d: %d entries in %dus" r.Mu.Smr.pid
-                  r.Mu.Smr.entries_pulled
-                  ((r.Mu.Smr.parity_at - r.Mu.Smr.restarted_at) / 1_000))
-              rs)))
-    (if passed o then "ok"
-     else
-       String.concat ", "
-         ((if o.completed then [] else [ "stalled" ])
-         @ (if o.linearizable then [] else [ "NOT LINEARIZABLE" ])
-         @
-         match o.violations with
-         | [] -> []
-         | vs -> [ Printf.sprintf "%d invariant violation(s)" (List.length vs) ]));
-  (* Passing outcomes keep their historical one-line format; the witness
-     only ever extends a failing line, so existing golden output (CI
-     double-run [cmp]) is unchanged. *)
-  match o.witness with
-  | None -> ()
-  | Some w -> Fmt.pf ppf "@\n  %a" Linearizability.pp_witness w
+(* The first [count] of a, b, c, ..., z, k26, k27, ... that route to
+   [shard]: with one shard, the keys a, b, c. *)
+let keys_for ~shards ~shard ~count =
+  let acc = ref [] and i = ref 0 in
+  while List.length !acc < count do
+    let k =
+      if !i < 26 then String.make 1 (Char.chr (Char.code 'a' + !i))
+      else Printf.sprintf "k%d" !i
+    in
+    if Mu.Sharded.key_hash k mod shards = shard then acc := k :: !acc;
+    incr i
+  done;
+  Array.of_list (List.rev !acc)
 
-(* One client fiber: closed-loop Puts/Gets on a small shared key space,
-   each op recorded with its invocation/response times. Request ids make
-   retries idempotent (the KV app deduplicates), so the at-least-once
-   delivery of SMR under leader change stays linearizable. *)
-let client_fiber e smr ~proc ~ops ~think ~keys ~history ~pending ~on_done =
-  let rng = Sim.Rng.split (Sim.Engine.rng e) in
-  Mu.Smr.wait_live smr;
+(* A random client's ops: closed-loop Puts/Gets on its shard's keys, drawn
+   from the client's own split of the engine PRNG. *)
+let random_ops rng ~proc ~ops ~think ~keys =
+  let acc = ref [] in
   for i = 1 to ops do
-    if think > 0 && i > 1 then Sim.Engine.sleep e think;
     let key = keys.(Sim.Rng.int rng (Array.length keys)) in
-    let cmd =
+    let s_cmd =
       if Sim.Rng.bool rng then
         Apps.Kv_store.Put { key; value = Printf.sprintf "c%d-%d" proc i }
       else Apps.Kv_store.Get { key }
     in
-    let payload = Apps.Kv_store.encode_command ~client:proc ~req_id:i cmd in
-    let invoked = Sim.Engine.now e in
-    Hashtbl.replace pending proc (invoked, key, cmd);
-    (* The client_op span labels the detached "request" span that
-       [Smr.submit] opens underneath it with (proc, req, key, op), so
-       [mu_demo explain] can name the requests caught in a fail-over.
-       A shed reply (degraded leader past its queue bound) is retried
-       after a back-off under the same invocation time: the operation is
-       still one linearizability event, it just took longer to admit. *)
-    let rec attempt () =
-      let reply = Mu.Smr.submit smr payload in
-      if Mu.Smr.is_retryable reply then begin
-        Sim.Engine.sleep e 500_000;
-        attempt ()
-      end
-      else reply
-    in
-    let reply =
-      Sim.Engine.span_scope e
-        ~args:
-          [
-            ("proc", string_of_int proc);
-            ("req", string_of_int i);
-            ("key", key);
-            ( "op",
-              match cmd with
-              | Apps.Kv_store.Put _ -> "put"
-              | Apps.Kv_store.Get _ -> "get"
-              | Apps.Kv_store.Delete _ -> "delete" );
-          ]
-        "client_op" attempt
-    in
-    let responded = Sim.Engine.now e in
-    Hashtbl.remove pending proc;
-    let kind =
-      match cmd, Apps.Kv_store.decode_reply reply with
-      | Apps.Kv_store.Put { value; _ }, _ -> Linearizability.Write value
-      | Apps.Kv_store.Get _, Some (Apps.Kv_store.Value v) ->
-        Linearizability.Read (Some v)
-      | (Apps.Kv_store.Get _ | Apps.Kv_store.Delete _), _ ->
-        Linearizability.Read None
-    in
-    history :=
-      { Linearizability.proc; invoked; responded; key; kind } :: !history
+    acc := { s_think = (if i > 1 then think else 0); s_req = i; s_cmd } :: !acc
   done;
-  on_done ()
+  List.rev !acc
 
-(* One scripted client fiber: replays a generated op list verbatim —
-   think gap, request id and command all come from the script — and
-   records every decoded reply so the modelcheck conformance layer can
-   compare the run against the pure reference model. Shed replies retry
-   with the same back-off as the random clients, under the same
-   invocation time. *)
-let scripted_fiber e smr ~proc ~script ~records ~pending ~on_done =
-  Mu.Smr.wait_live smr;
+(* One client fiber: submits its ops in turn and records each with its
+   invocation/response times and decoded reply. Request ids make retries
+   idempotent (the KV app deduplicates), so the at-least-once delivery of
+   SMR under leader change stays linearizable. The client_op span labels
+   the detached "request" span that [Smr.submit] opens underneath it with
+   (proc, req, key, op), so [mu_demo explain] can name the requests caught
+   in a fail-over. A shed reply (degraded leader past its queue bound) is
+   retried after a back-off under the same invocation time: the op is
+   still one history event, it just took longer to admit. *)
+let client_fiber e cluster ~proc ~ops ~records ~pending ~on_done =
+  Mu.Sharded.wait_live cluster;
   List.iter
     (fun { s_think; s_req; s_cmd } ->
       if s_think > 0 then Sim.Engine.sleep e s_think;
+      let key = key_of s_cmd in
       let payload = Apps.Kv_store.encode_command ~client:proc ~req_id:s_req s_cmd in
       let invoked = Sim.Engine.now e in
       Hashtbl.replace pending proc (invoked, s_req, s_cmd);
       let rec attempt () =
-        let reply = Mu.Smr.submit smr payload in
+        let reply = Mu.Sharded.submit cluster ~key payload in
         if Mu.Smr.is_retryable reply then begin
           Sim.Engine.sleep e 500_000;
           attempt ()
         end
         else reply
-      in
-      let key =
-        match s_cmd with
-        | Apps.Kv_store.Get { key } | Apps.Kv_store.Delete { key } -> key
-        | Apps.Kv_store.Put { key; _ } -> key
       in
       let reply =
         Sim.Engine.span_scope e
@@ -179,62 +114,16 @@ let scripted_fiber e smr ~proc ~script ~records ~pending ~on_done =
           r_reply = Apps.Kv_store.decode_reply reply;
         }
         :: !records)
-    script;
+    ops;
   on_done ()
 
-(* Linearizability view of one recorded op. Deletes are erases; a write
-   or erase that never answered stays with an open interval (it may have
-   taken effect); a read that never answered (or answered garbage)
-   observed nothing and is dropped. *)
-let history_of_recorded r =
-  let key =
-    match r.r_cmd with
-    | Apps.Kv_store.Get { key } | Apps.Kv_store.Delete { key } -> key
-    | Apps.Kv_store.Put { key; _ } -> key
-  in
-  let kind =
-    match (r.r_cmd, r.r_reply) with
-    | Apps.Kv_store.Put { value; _ }, _ -> Some (Linearizability.Write value)
-    | Apps.Kv_store.Delete _, _ -> Some Linearizability.Erase
-    | Apps.Kv_store.Get _, Some (Apps.Kv_store.Value v) ->
-      Some (Linearizability.Read (Some v))
-    | Apps.Kv_store.Get _, Some _ -> Some (Linearizability.Read None)
-    | Apps.Kv_store.Get _, None -> None
-  in
-  Option.map
-    (fun kind ->
-      {
-        Linearizability.proc = r.r_proc;
-        invoked = r.r_invoked;
-        responded = r.r_responded;
-        key;
-        kind;
-      })
-    kind
-
-let run ?trace ?metrics ?on_engine ?(provenance = false) ?(clients = 4)
+let run ?trace ?metrics ?on_engine ?(provenance = false) ?(shards = 1) ?(clients = 4)
     ?(ops_per_client = 25) ?(think = 0) ?(horizon = 2_000_000_000)
     ?(durable = true) ?(queue_limit = 0) ?script ~seed ~n scenario =
-  let e = Sim.Engine.create ~seed () in
-  (match trace with Some tr -> Trace.Tracer.attach tr e | None -> ());
-  if provenance then Sim.Engine.set_provenance e true;
-  (* Same shape as Experiments.run_sim: the sampler fiber ticks on
-     virtual time and dies with the engine; attaching it consumes no
-     PRNG, so the protocol schedule is unchanged. *)
-  (match metrics with
-  | Some sampler ->
-    Sim.Engine.set_metrics e (Telemetry.Sampler.registry sampler);
-    Telemetry.Sampler.start_epoch sampler;
-    let interval = Telemetry.Sampler.interval sampler in
-    Sim.Engine.spawn e ~name:"telemetry-sampler" (fun () ->
-        let rec loop () =
-          Telemetry.Sampler.tick sampler ~now:(Sim.Engine.now e);
-          Sim.Engine.sleep e interval;
-          loop ()
-        in
-        loop ())
-  | None -> ());
-  (match on_engine with Some f -> f e | None -> ());
+  let e =
+    Experiments.engine
+      { Experiments.default_setup with seed; trace; metrics; provenance; on_engine }
+  in
   let cfg =
     {
       Mu.Config.default with
@@ -245,31 +134,29 @@ let run ?trace ?metrics ?on_engine ?(provenance = false) ?(clients = 4)
       queue_limit;
     }
   in
-  let smr =
-    Mu.Smr.create e Sim.Calibration.default cfg ~make_app:(fun _ ->
-        Apps.Kv_store.smr_app ())
+  let cluster =
+    Mu.Sharded.create e Sim.Calibration.default cfg ~shards
+      ~make_app:(fun ~shard:_ ~replica:_ -> Apps.Kv_store.smr_app ())
   in
-  Mu.Smr.start smr;
-  (* Host lookups re-resolve through the cluster on every event: a
-     restart replaces the replica (and its host) under the same id, and
-     later faults must land on the new incarnation. *)
+  Mu.Sharded.start cluster;
+  (* Scenario host ids are shard 0's replica ids. Host lookups re-resolve
+     through the cluster on every event: a restart replaces the replica
+     (and its host) under the same id, and later faults must land on the
+     new incarnation. *)
+  let target () = Mu.Sharded.shard cluster 0 in
   Faults.Injector.install e
     ~hosts:(fun pid ->
+      let smr = target () in
       if pid >= 0 && pid < Array.length (Mu.Smr.replicas smr) then
         Some (Mu.Smr.replica smr pid).Mu.Replica.host
       else None)
-    ~restart:(fun pid -> Mu.Smr.restart_replica smr ~id:pid)
+    ~restart:(fun pid -> Mu.Smr.restart_replica (target ()) ~id:pid)
     scenario;
-  let history = ref [] in
   let records = ref [] in
   let pending = Hashtbl.create 8 in
-  let spending = Hashtbl.create 8 in
-  let nclients =
-    match script with Some ss -> List.length ss | None -> clients
-  in
+  let nclients = match script with Some ss -> List.length ss | None -> clients in
   let remaining = ref nclients in
   let completed = ref false in
-  let keys = [| "a"; "b"; "c" |] in
   let on_done () =
     decr remaining;
     if !remaining = 0 then begin
@@ -291,183 +178,78 @@ let run ?trace ?metrics ?on_engine ?(provenance = false) ?(clients = 4)
       if Sim.Engine.now e < restart_horizon + 1_000 then
         Sim.Engine.sleep e (restart_horizon + 1_000 - Sim.Engine.now e);
       let budget = ref 100 in
-      while Mu.Smr.restarts_in_flight smr > 0 && !budget > 0 do
+      while Mu.Smr.restarts_in_flight (target ()) > 0 && !budget > 0 do
         decr budget;
         Sim.Engine.sleep e 1_000_000
       done;
       Sim.Engine.sleep e 5_000_000;
       completed := true;
-      Mu.Smr.stop smr;
+      Mu.Sharded.stop cluster;
       Sim.Engine.halt e
     end
   in
-  (match script with
-  | Some scripts ->
-    List.iteri
-      (fun i script ->
-        let proc = i + 1 in
-        Sim.Engine.spawn e
-          ~name:(Printf.sprintf "chaos-client-%d" proc)
-          (fun () ->
-            scripted_fiber e smr ~proc ~script ~records ~pending:spending
-              ~on_done))
-      scripts
-  | None ->
-    for proc = 1 to clients do
-      Sim.Engine.spawn e
-        ~name:(Printf.sprintf "chaos-client-%d" proc)
-        (fun () ->
-          client_fiber e smr ~proc ~ops:ops_per_client ~think ~keys ~history
-            ~pending ~on_done)
-    done);
+  (* Client i is proc i+1. A scripted client replays its list verbatim and
+     splits no PRNG; a random client draws its ops from its own split. *)
+  for i = 0 to nclients - 1 do
+    let proc = i + 1 in
+    Sim.Engine.spawn e
+      ~name:(Printf.sprintf "chaos-client-%d" proc)
+      (fun () ->
+        let ops =
+          match script with
+          | Some scripts -> List.nth scripts i
+          | None ->
+            let rng = Sim.Rng.split (Sim.Engine.rng e) in
+            let keys = keys_for ~shards ~shard:(i mod shards) ~count:3 in
+            random_ops rng ~proc ~ops:ops_per_client ~think ~keys
+        in
+        client_fiber e cluster ~proc ~ops ~records ~pending ~on_done)
+  done;
   Sim.Engine.run ~until:horizon e;
   (* A run that stalled (e.g. a scenario that left no majority) still gets
-     checked for safety: writes that never responded may or may not have
-     taken effect, so they stay in the history with an open interval —
-     the checker may linearize them anywhere after their invocation.
-     Unresponded reads observed nothing and are dropped. *)
-  let record, history =
-    match script with
-    | None ->
-      let history = !history in
-      let history =
-        if !completed then history
-        else
-          Hashtbl.fold
-            (fun proc (invoked, key, cmd) acc ->
-              match cmd with
-              | Apps.Kv_store.Put { value; _ } ->
-                {
-                  Linearizability.proc;
-                  invoked;
-                  responded = max_int;
-                  key;
-                  kind = Linearizability.Write value;
-                }
-                :: acc
-              | Apps.Kv_store.Get _ | Apps.Kv_store.Delete _ -> acc)
-            pending history
-      in
-      ([], history)
-    | Some _ ->
-      let record =
-        Hashtbl.fold
-          (fun proc (invoked, req, cmd) acc ->
-            {
-              r_proc = proc;
-              r_req = req;
-              r_invoked = invoked;
-              r_responded = max_int;
-              r_cmd = cmd;
-              r_reply = None;
-            }
-            :: acc)
-          spending !records
-      in
-      let record =
-        List.sort
-          (fun a b ->
-            compare (a.r_invoked, a.r_proc, a.r_req)
-              (b.r_invoked, b.r_proc, b.r_req))
-          record
-      in
-      (record, List.filter_map history_of_recorded record)
+     checked for safety: ops that never responded stay in the record with
+     an open interval — a write may or may not have taken effect. *)
+  let record =
+    Hashtbl.fold
+      (fun proc (invoked, req, cmd) acc ->
+        {
+          r_proc = proc;
+          r_req = req;
+          r_invoked = invoked;
+          r_responded = max_int;
+          r_cmd = cmd;
+          r_reply = None;
+        }
+        :: acc)
+      pending !records
+    |> List.sort (fun a b ->
+           compare (a.r_invoked, a.r_proc, a.r_req) (b.r_invoked, b.r_proc, b.r_req))
   in
-  (* Re-read the replica array: restarts swap entries in place, and the
+  (* Re-read the replica arrays: restarts swap entries in place, and the
      safety checks must see the final incarnations. *)
-  let replicas = Mu.Smr.replicas smr in
-  let witness = Linearizability.witness history in
+  let groups = List.init shards (Mu.Sharded.shard cluster) in
+  let replicas = Array.concat (List.map Mu.Smr.replicas groups) in
+  let sum f = List.fold_left (fun acc smr -> acc + f smr) 0 groups in
   {
     seed;
     n;
     scenario;
     completed = !completed;
-    ops = List.length history;
+    (* Unanswered reads observed nothing and are not part of the history. *)
+    ops =
+      List.length
+        (List.filter
+           (fun r ->
+             match r.r_cmd with
+             | Apps.Kv_store.Get _ -> r.r_responded <> max_int
+             | _ -> true)
+           record);
     committed =
       Array.fold_left (fun acc r -> max acc (Mu.Log.fuo r.Mu.Replica.log)) 0 replicas;
-    linearizable = Option.is_none witness;
-    witness;
     record;
-    violations = Mu.Invariants.check_all replicas;
-    rejoins = Mu.Smr.rejoins smr;
-    shed = Mu.Smr.shed_requests smr;
-    degraded_ns = Mu.Smr.degraded_total_ns smr;
-  }
-
-(* --- minimized repro ----------------------------------------------------- *)
-
-(* Everything needed to replay a failing run byte-for-byte: the seed, the
-   replica count and the full scenario. The violation summary is carried
-   for humans; replay only needs the first three. *)
-let repro_json o =
-  Faults.Json.to_string
-    (Faults.Json.Obj
-       [
-         ("seed", Faults.Json.Str (Int64.to_string o.seed));
-         ("n", Faults.Json.num_of_int o.n);
-         ("scenario", Faults.Scenario.to_json o.scenario);
-         ( "violation",
-           Faults.Json.Str
-             (if not o.linearizable then "history not linearizable"
-              else if o.violations <> [] then
-                Fmt.str "%a" (Fmt.list Mu.Invariants.pp_violation) o.violations
-              else if not o.completed then "liveness stall (clients never finished)"
-              else "none") );
-       ])
-
-let parse_repro s =
-  let ( let* ) = Result.bind in
-  let* j = Faults.Json.of_string s in
-  let* seed =
-    match Option.bind (Faults.Json.member "seed" j) Faults.Json.to_str with
-    | Some s -> (
-      match Int64.of_string_opt s with
-      | Some v -> Ok v
-      | None -> Error (Printf.sprintf "repro: bad seed %S" s))
-    | None -> Error "repro: missing \"seed\""
-  in
-  let* n =
-    match Option.bind (Faults.Json.member "n" j) Faults.Json.to_int with
-    | Some n -> Ok n
-    | None -> Error "repro: missing \"n\""
-  in
-  let* scenario =
-    match Faults.Json.member "scenario" j with
-    | Some sj -> Faults.Scenario.of_json sj
-    | None -> Error "repro: missing \"scenario\""
-  in
-  let* () = Faults.Scenario.validate ~n scenario in
-  Ok (seed, n, scenario)
-
-(* --- randomized sweep ----------------------------------------------------- *)
-
-type sweep = {
-  runs : int;
-  failures : outcome list;
-  coverage : Faults.Scenario.coverage;
-}
-
-(* Each iteration derives its own seed from the sweep's root PRNG; the
-   scenario is generated from that seed and the engine is seeded with it
-   too, so one 64-bit number replays the whole run. *)
-let sweep ?(count = 50) ?(ns = [ 3; 5 ]) ?log ~seed () =
-  let root = Sim.Rng.create seed in
-  let ns = Array.of_list ns in
-  let failures = ref [] in
-  let scenarios = ref [] in
-  for i = 0 to count - 1 do
-    let run_seed = Sim.Rng.int64 root in
-    let n = ns.(i mod Array.length ns) in
-    let scenario =
-      Faults.Scenario.generate (Sim.Rng.create run_seed) ~n ~horizon:40_000_000
-    in
-    scenarios := scenario :: !scenarios;
-    let o = run ~seed:run_seed ~n scenario in
-    if not (passed o) then failures := o :: !failures;
-    match log with Some f -> f i o | None -> ()
-  done;
-  {
-    runs = count;
-    failures = List.rev !failures;
-    coverage = Faults.Scenario.coverage (List.rev !scenarios);
+    violations =
+      List.concat_map (fun smr -> Mu.Invariants.check_all (Mu.Smr.replicas smr)) groups;
+    rejoins = List.concat_map Mu.Smr.rejoins groups;
+    shed = sum Mu.Smr.shed_requests;
+    degraded_ns = sum Mu.Smr.degraded_total_ns;
   }

@@ -1,25 +1,26 @@
-(** Chaos runner: Mu under injected faults, checked for safety.
+(** Chaos runner: Mu under injected faults, with every reply recorded.
 
-    Each run builds a fresh cluster of [n] replicas serving the KV
-    application, installs a {!Faults.Scenario.t} over the engine, and
-    drives closed-loop clients whose operations are recorded as a
-    real-time history. After the run, two independent safety checks fire:
-    the Appendix A invariants over raw replica state
-    ({!Mu.Invariants.check_all}) and linearizability of the observed
-    history ({!Linearizability.check}) — the paper's §2.2 claims,
-    checked empirically under every scenario the generator can produce.
+    Each run builds a fresh cluster of [shards] groups of [n] replicas
+    ({!Mu.Sharded}) serving the KV application, installs a
+    {!Faults.Scenario.t} over shard 0, and drives closed-loop clients
+    whose operations are recorded as a real-time history. The run itself
+    judges nothing: {!Modelcheck.Conformance.judge} checks the recorded
+    replies against the pure KV model and reads the Appendix A invariant
+    violations collected here ({!Mu.Invariants.check_all}) — the paper's
+    §2.2 claims, checked empirically under every scenario the generator
+    can produce.
 
     Determinism: same [seed] + same scenario ⇒ an identical run, to the
-    byte, including any attached trace — which makes {!repro_json} a
-    complete reproduction of a failure. *)
+    byte, including any attached trace — which makes a (seed, n,
+    scenario) repro a complete reproduction of a failure. *)
 
-(** {1 Scripted histories}
+(** {1 Histories}
 
-    The modelcheck conformance runner (lib/modelcheck) drives the same
-    harness with a {e generated} history instead of the built-in random
-    clients: one op list per client, each op carrying its request id and
-    a think gap, and every response recorded verbatim so it can be
-    checked against the pure reference model. *)
+    Clients either draw their ops from a seeded random stream or replay
+    a {e generated} history (the modelcheck conformance runner): one op
+    list per client, each op carrying its request id and a think gap.
+    Either way every response is recorded verbatim so it can be checked
+    against the pure reference model. *)
 
 type scripted_op = {
   s_think : int;  (** Virtual-ns pause before submitting this op. *)
@@ -44,33 +45,24 @@ type outcome = {
       (** All client operations finished before the safety horizon. A
           stall means the scenario (or a bug) cost the cluster liveness;
           safety is still checked. *)
-  ops : int;  (** Operations in the checked history. *)
+  ops : int;  (** Operations in the history: all but unanswered reads. *)
   committed : int;  (** Highest FUO reached by any replica. *)
-  linearizable : bool;
-  witness : Linearizability.witness option;
-      (** Minimal failing sub-history when not linearizable. *)
   record : recorded list;
-      (** Scripted runs only: every op with its observed reply, sorted by
-          (invocation, proc, req). Empty for the built-in random clients. *)
-  violations : Mu.Invariants.violation list;
+      (** Every op, answered or pending, with its observed reply, sorted
+          by (invocation, proc, req). *)
+  violations : Mu.Invariants.violation list;  (** Over every shard. *)
   rejoins : Mu.Smr.rejoin list;
       (** Completed kill→restart→rejoin pipelines (oldest first). *)
   shed : int;  (** Requests shed by a degraded leader's queue bound. *)
   degraded_ns : int;  (** Total quorum-lost window duration. *)
 }
 
-val passed : outcome -> bool
-(** Completed, linearizable, and invariant-clean. *)
-
-val pp_outcome : outcome Fmt.t
-(** One line; on a linearizability failure, the minimal counterexample
-    witness follows on indented lines. *)
-
 val run :
   ?trace:Trace.Tracer.t ->
   ?metrics:Telemetry.Sampler.t ->
   ?on_engine:(Sim.Engine.t -> unit) ->
   ?provenance:bool ->
+  ?shards:int ->
   ?clients:int ->
   ?ops_per_client:int ->
   ?think:int ->
@@ -82,63 +74,30 @@ val run :
   n:int ->
   Faults.Scenario.t ->
   outcome
-(** One chaos run. [horizon] (default 2 virtual seconds) bounds a stalled
-    run; writes still pending at the horizon stay in the history with an
-    open response interval, so a write that took effect but never
-    answered cannot fake a linearizability violation. [provenance]
-    (default false) additionally records causal request spans for
-    [mu_demo explain] — each client op wraps its request span with
-    (proc, req, key, op) labels; a provenance-off run is byte-identical
-    with or without the flag. [think] (default 0) inserts a fixed
-    virtual-ns pause between a client's operations — use it to stretch a
-    small (checker-friendly) history across a scenario's fault window
-    instead of piling on operations. [durable] (default true) backs each
-    replica's log with simulated NVM so [restart] events can recover it;
-    [queue_limit] (default 0 = unbounded) bounds the leader's incoming
-    queue — shed requests answer with {!Mu.Smr.retryable_error} and the
-    clients here back off and retry under the same invocation time.
-    [metrics] attaches a telemetry sampler exactly as
-    {!Experiments.run_sim} does (new epoch, virtual-time tick fiber);
-    [on_engine] runs after the engine is fully configured but before the
-    cluster starts — the hook the online monitor attaches through. Both
-    consume no PRNG; the protocol schedule is unchanged. [script]
-    replaces the built-in random clients with one fiber per listed
-    client, replaying the given op lists verbatim (client i is proc
-    i+1); [clients]/[ops_per_client]/[think] are ignored and every
-    submitted op lands in {!outcome.record} with its observed reply. A
-    run without [script] is byte-identical to one built before the
-    option existed. *)
+(** One chaos run. [shards] (default 1) independent groups share the
+    engine; scenario host ids address shard 0's replicas, and client i
+    (proc i+1, [clients] default 4) draws [ops_per_client] (default 25)
+    random Puts/Gets over {!keys_for} shard [i mod shards]. [horizon]
+    (default 2 virtual seconds) bounds a stalled run; ops still pending
+    at the horizon stay in the record with an open response interval,
+    so a write that took effect but never answered cannot fake a
+    violation. [trace], [metrics], [provenance] and [on_engine] build
+    the engine exactly as {!Experiments.engine} does; none consumes
+    PRNG, so the protocol schedule is unchanged. With [provenance] each
+    client op wraps its request span with (proc, req, key, op) labels.
+    [think] (default 0) inserts a fixed virtual-ns pause between a
+    client's operations — use it to stretch a small (checker-friendly)
+    history across a scenario's fault window instead of piling on
+    operations. [durable] (default true) backs each replica's log with
+    simulated NVM so [restart] events can recover it; [queue_limit]
+    (default 0 = unbounded) bounds the leader's incoming queue — shed
+    requests answer with {!Mu.Smr.retryable_error} and the clients here
+    back off and retry under the same invocation time. [script]
+    replaces the random clients with one client per listed op list,
+    replayed verbatim; [clients]/[ops_per_client]/[think] are then
+    ignored and no client splits the engine PRNG. *)
 
-(** {1 Minimized repro} *)
-
-val repro_json : outcome -> string
-(** Seed + n + scenario + violation summary, as one JSON document. *)
-
-val parse_repro : string -> (int64 * int * Faults.Scenario.t, string) result
-(** Recover the replay inputs from a repro file; {!run} on them
-    reproduces the failing run byte-identically. *)
-
-(** {1 Randomized sweep} *)
-
-type sweep = {
-  runs : int;
-  failures : outcome list;
-  coverage : Faults.Scenario.coverage;
-      (** What the generator actually exercised across the sweep: action
-          counts, partition shapes, crash/restart mix. Surfaced so a
-          sweep can never silently narrow its fault coverage. *)
-}
-
-val sweep :
-  ?count:int ->
-  ?ns:int list ->
-  ?log:(int -> outcome -> unit) ->
-  seed:int64 ->
-  unit ->
-  sweep
-(** [sweep ~seed ()] runs [count] (default 50) random scenarios, cycling
-    cluster sizes through [ns] (default [[3; 5]]). Every run's seed is
-    drawn from a root PRNG seeded with [seed], and its scenario is
-    generated from that per-run seed — so each failure replays from one
-    64-bit number, and {!repro_json} of a failing outcome is a complete
-    repro. [log] observes every outcome as it completes. *)
+val keys_for : shards:int -> shard:int -> count:int -> string array
+(** The first [count] of the keys a, b, …, z, k26, k27, … that route to
+    [shard] under {!Mu.Sharded.key_hash} with [shards] shards — with one
+    shard, [[|"a"; "b"; "c"|]] for [count = 3]. *)

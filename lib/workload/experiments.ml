@@ -28,11 +28,10 @@ let install_faults setup e smr =
         else None)
       scenario
 
-(* Run one simulation to completion of the experiment body. Each run is a
-   fresh engine (virtual time restarts at 0), so a shared sampler opens a
-   new epoch per run; the sampler fiber ticks on virtual time and dies
-   with the engine. *)
-let run_sim setup ?until f =
+(* A fresh engine instrumented per the setup. Each run is a fresh engine
+   (virtual time restarts at 0), so a shared sampler opens a new epoch per
+   run; the sampler fiber ticks on virtual time and dies with the engine. *)
+let engine setup =
   let e = Sim.Engine.create ~seed:setup.seed () in
   (match setup.trace with Some tr -> Trace.Tracer.attach tr e | None -> ());
   if setup.provenance then Sim.Engine.set_provenance e true;
@@ -50,6 +49,11 @@ let run_sim setup ?until f =
         loop ())
   | None -> ());
   (match setup.on_engine with Some f -> f e | None -> ());
+  e
+
+(* Run one simulation to completion of the experiment body. *)
+let run_sim setup ?until f =
+  let e = engine setup in
   let result = ref None in
   Sim.Engine.spawn e ~name:"experiment" (fun () ->
       result := Some (f e);

@@ -37,6 +37,12 @@ type setup = {
 
 val default_setup : setup
 
+val engine : setup -> Sim.Engine.t
+(** A fresh engine seeded from the setup, with its tracer, provenance
+    flag and metrics sampler (a new epoch plus a virtual-time tick
+    fiber) attached, then [on_engine] called. The one engine build
+    {!run_sim} and {!Chaos.run} share. *)
+
 val run_sim : setup -> ?until:int -> (Sim.Engine.t -> 'a) -> 'a
 (** Run one simulation to completion of [f]: a fresh engine seeded from
     the setup, with tracer/provenance/metrics-sampler attached per the

@@ -193,62 +193,71 @@ let conformance_pending_write_harmless () =
   check "pending write placed last" true
     (Modelcheck.Conformance.check records = None)
 
-(* --- linearizability witness (workload layer) ------------------------------ *)
+let conformance_cross_key_read_caught () =
+  (* A read returning a value only ever put on another key: what a
+     routing leak across shards would produce. Per-key conformance alone
+     rejects it — no history on key "b" ever held "x". *)
+  let records =
+    [
+      rcd ~proc:1 ~req:1 ~inv:0 ~res:10 ~reply:Apps.Kv_store.Stored
+        (Apps.Kv_store.Put { key = "a"; value = "x" });
+      rcd ~proc:2 ~req:1 ~inv:20 ~res:30
+        ~reply:(Apps.Kv_store.Value "x")
+        (Apps.Kv_store.Get { key = "b" });
+    ]
+  in
+  match Modelcheck.Conformance.check records with
+  | None -> Alcotest.fail "cross-key read not caught"
+  | Some w -> check_str "witness key" "b" w.Modelcheck.Conformance.ckey
 
-let lin_op ~proc ~inv ~res ~key kind =
-  { Workload.Linearizability.proc; invoked = inv; responded = res; key; kind }
+(* --- minimal witness -------------------------------------------------------- *)
 
 let witness_minimal_counterexample () =
   (* Three ops of noise around a two-op violation: witness keeps the pair. *)
-  let ops =
+  let records =
     [
-      lin_op ~proc:1 ~inv:0 ~res:10 ~key:"a" (Workload.Linearizability.Write "x");
-      lin_op ~proc:1 ~inv:20 ~res:30 ~key:"b" (Workload.Linearizability.Write "y");
-      lin_op ~proc:2 ~inv:40 ~res:50 ~key:"b"
-        (Workload.Linearizability.Read (Some "y"));
-      lin_op ~proc:2 ~inv:60 ~res:70 ~key:"a" (Workload.Linearizability.Read None);
-      lin_op ~proc:2 ~inv:80 ~res:90 ~key:"a"
-        (Workload.Linearizability.Read (Some "x"));
+      rcd ~proc:1 ~req:1 ~inv:0 ~res:10 ~reply:Apps.Kv_store.Stored
+        (Apps.Kv_store.Put { key = "a"; value = "x" });
+      rcd ~proc:1 ~req:2 ~inv:20 ~res:30 ~reply:Apps.Kv_store.Stored
+        (Apps.Kv_store.Put { key = "b"; value = "y" });
+      rcd ~proc:2 ~req:1 ~inv:40 ~res:50
+        ~reply:(Apps.Kv_store.Value "y")
+        (Apps.Kv_store.Get { key = "b" });
+      rcd ~proc:2 ~req:2 ~inv:60 ~res:70 ~reply:Apps.Kv_store.Not_found
+        (Apps.Kv_store.Get { key = "a" });
+      rcd ~proc:2 ~req:3 ~inv:80 ~res:90
+        ~reply:(Apps.Kv_store.Value "x")
+        (Apps.Kv_store.Get { key = "a" });
     ]
   in
-  check "history fails" false (Workload.Linearizability.check ops);
-  match Workload.Linearizability.witness ops with
+  match Modelcheck.Conformance.check records with
   | None -> Alcotest.fail "no witness for failing history"
   | Some w ->
-    check_str "failing key" "a" w.Workload.Linearizability.wkey;
-    (* The minimizer drops the trailing Read (Some x): the acked write
-       plus the read that misses it is already a counterexample. *)
-    check_int "minimal size" 2 (List.length w.Workload.Linearizability.wops);
-    check "witness itself fails" false
-      (Workload.Linearizability.check w.Workload.Linearizability.wops);
+    check_str "failing key" "a" w.Modelcheck.Conformance.ckey;
+    (* The minimizer drops the trailing read of x: the acked write plus
+       the read that misses it is already a counterexample. *)
+    check_int "minimal size" 2 (List.length w.Modelcheck.Conformance.cops);
+    check "witness itself fails" true
+      (Modelcheck.Conformance.check w.Modelcheck.Conformance.cops <> None);
     check "passing history has no witness" true
-      (Workload.Linearizability.witness
-         [
-           lin_op ~proc:1 ~inv:0 ~res:10 ~key:"a"
-             (Workload.Linearizability.Write "x");
-         ]
-      = None)
+      (Modelcheck.Conformance.check [ List.hd records ] = None)
 
 let witness_erase_semantics () =
-  (* Erase then read-none is fine; read of the erased value after the
-     erase's response is not. *)
-  let ok =
+  (* Delete then a not-found read is fine; a read of the deleted value
+     after the delete's response is not. *)
+  let history last =
     [
-      lin_op ~proc:1 ~inv:0 ~res:10 ~key:"a" (Workload.Linearizability.Write "x");
-      lin_op ~proc:1 ~inv:20 ~res:30 ~key:"a" Workload.Linearizability.Erase;
-      lin_op ~proc:1 ~inv:40 ~res:50 ~key:"a" (Workload.Linearizability.Read None);
+      rcd ~proc:1 ~req:1 ~inv:0 ~res:10 ~reply:Apps.Kv_store.Stored
+        (Apps.Kv_store.Put { key = "a"; value = "x" });
+      rcd ~proc:1 ~req:2 ~inv:20 ~res:30 ~reply:Apps.Kv_store.Deleted
+        (Apps.Kv_store.Delete { key = "a" });
+      rcd ~proc:1 ~req:3 ~inv:40 ~res:50 ~reply:last (Apps.Kv_store.Get { key = "a" });
     ]
   in
-  check "erase linearizable" true (Workload.Linearizability.check ok);
-  let bad =
-    [
-      lin_op ~proc:1 ~inv:0 ~res:10 ~key:"a" (Workload.Linearizability.Write "x");
-      lin_op ~proc:1 ~inv:20 ~res:30 ~key:"a" Workload.Linearizability.Erase;
-      lin_op ~proc:1 ~inv:40 ~res:50 ~key:"a"
-        (Workload.Linearizability.Read (Some "x"));
-    ]
-  in
-  check "read after erase rejected" false (Workload.Linearizability.check bad)
+  check "delete conformant" true
+    (Modelcheck.Conformance.check (history Apps.Kv_store.Not_found) = None);
+  check "read after delete rejected" true
+    (Modelcheck.Conformance.check (history (Apps.Kv_store.Value "x")) <> None)
 
 (* --- scripted chaos runs --------------------------------------------------- *)
 
@@ -486,10 +495,10 @@ let sweep_coverage_no_silent_gaps () =
   check "restart fraction" true (Faults.Scenario.restart_fraction c = 1.0)
 
 let chaos_sweep_reports_coverage () =
-  let s = Workload.Chaos.sweep ~count:2 ~ns:[ 3 ] ~seed:3L () in
+  let s = Modelcheck.Verify.chaos_sweep ~count:2 ~ns:[ 3 ] ~seed:3L () in
   check_int "coverage spans the sweep" 2
-    s.Workload.Chaos.coverage.Faults.Scenario.scenarios;
-  check_int "sweep ran" 2 s.Workload.Chaos.runs
+    s.Modelcheck.Verify.fault_mix.Faults.Scenario.scenarios;
+  check_int "sweep ran" 2 s.Modelcheck.Verify.runs
 
 let suite =
   [
@@ -502,6 +511,7 @@ let suite =
     ("conformance: delete reply semantics", `Quick, conformance_delete_reply_semantics);
     ("conformance: concurrency flexible", `Quick, conformance_concurrency_flexible);
     ("conformance: pending write harmless", `Quick, conformance_pending_write_harmless);
+    ("conformance: cross-key read caught", `Quick, conformance_cross_key_read_caught);
     ("lin witness: minimal counterexample", `Quick, witness_minimal_counterexample);
     ("lin witness: erase semantics", `Quick, witness_erase_semantics);
     ("scripted run records replies", `Quick, scripted_run_records_replies);

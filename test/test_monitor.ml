@@ -133,7 +133,8 @@ let run_monitored ?(scenario = "kill-restart") ?(ops = 600) ?(think = 50_000) se
 let chaos_alert_log_deterministic () =
   let o1, m1 = run_monitored 7L in
   let o2, m2 = run_monitored 7L in
-  check "runs pass" true (Workload.Chaos.passed o1 && Workload.Chaos.passed o2);
+  check "runs pass" true
+    (Modelcheck.Conformance.passed o1 && Modelcheck.Conformance.passed o2);
   check_str "same seed: byte-identical alert log"
     (Monitor.Log.to_json (Monitor.Online.log m1))
     (Monitor.Log.to_json (Monitor.Online.log m2));

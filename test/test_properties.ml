@@ -533,8 +533,11 @@ let run_determinism =
       in
       run () = run ())
 
-(* Cross-validate the linearizability checker against brute-force
-   permutation search on tiny histories. *)
+(* Cross-validate the conformance checker against brute-force permutation
+   search on tiny single-key Put/Get/Delete histories: a history conforms
+   iff some order respecting real time replays through the pure KV model
+   with every answered reply reproduced. Unanswered puts and deletes
+   (open intervals) replay with their reply unchecked. *)
 let lin_checker_matches_bruteforce =
   let op_gen =
     QCheck.Gen.(
@@ -542,17 +545,18 @@ let lin_checker_matches_bruteforce =
         (fun proc (inv, dur) kind -> (proc, inv, inv + 1 + dur, kind))
         (1 -- 3)
         (pair (0 -- 20) (0 -- 10))
-        (oneof
+        (frequency
            [
-             return `W;
-             map (fun v -> `R (Some (string_of_int v))) (1 -- 3);
-             return (`R None);
+             (3, map (fun answered -> `W answered) (frequencyl [ (4, true); (1, false) ]));
+             (3, map (fun v -> `R (Some (string_of_int v))) (1 -- 3));
+             (2, return (`R None));
+             (2, map (fun r -> `D r) (oneofl [ Some true; Some false; None ]));
            ]))
   in
   QCheck.Test.make ~name:"linearizability checker vs brute force" ~count:150
     QCheck.(make Gen.(list_size (1 -- 6) op_gen))
     (fun raw ->
-      (* Assign distinct write values; make per-process ops sequential. *)
+      (* Distinct write values and request ids; per-process ops sequential. *)
       let counter = ref 0 in
       let by_proc = Hashtbl.create 4 in
       let ops =
@@ -562,17 +566,31 @@ let lin_checker_matches_bruteforce =
             let inv = max inv last + 1 in
             let res = max res (inv + 1) in
             Hashtbl.replace by_proc proc res;
-            let kind =
+            incr counter;
+            let cmd, reply =
               match kind with
-              | `W ->
-                incr counter;
-                Workload.Linearizability.Write (string_of_int !counter)
-              | `R v -> Workload.Linearizability.Read v
+              | `W answered ->
+                ( Apps.Kv_store.Put { key = "k"; value = string_of_int !counter },
+                  if answered then Some Apps.Kv_store.Stored else None )
+              | `R (Some v) ->
+                (Apps.Kv_store.Get { key = "k" }, Some (Apps.Kv_store.Value v))
+              | `R None -> (Apps.Kv_store.Get { key = "k" }, Some Apps.Kv_store.Not_found)
+              | `D (Some true) ->
+                (Apps.Kv_store.Delete { key = "k" }, Some Apps.Kv_store.Deleted)
+              | `D (Some false) ->
+                (Apps.Kv_store.Delete { key = "k" }, Some Apps.Kv_store.Not_found)
+              | `D None -> (Apps.Kv_store.Delete { key = "k" }, None)
             in
-            { Workload.Linearizability.proc; invoked = inv; responded = res; key = "k"; kind })
+            {
+              Workload.Chaos.r_proc = proc;
+              r_req = !counter;
+              r_invoked = inv;
+              r_responded = (if reply = None then max_int else res);
+              r_cmd = cmd;
+              r_reply = reply;
+            })
           raw
       in
-      (* Brute force: try every permutation respecting real-time order. *)
       let rec permutations = function
         | [] -> [ [] ]
         | l ->
@@ -580,38 +598,35 @@ let lin_checker_matches_bruteforce =
             (fun x -> List.map (fun p -> x :: p) (permutations (List.filter (( != ) x) l)))
             l
       in
+      (* No op may come after one that was invoked only once it had
+         responded. *)
       let respects_realtime seq =
-        (* Every pair ordered (x before y) must not contradict real time:
-           y finishing before x was invoked forces y first. *)
         let arr = Array.of_list seq in
         let ok = ref true in
         Array.iteri
-          (fun i x ->
+          (fun i (x : Workload.Chaos.recorded) ->
             Array.iteri
-              (fun j y ->
-                if i < j
-                   && y.Workload.Linearizability.responded
-                      < x.Workload.Linearizability.invoked
-                then ok := false)
+              (fun j (y : Workload.Chaos.recorded) ->
+                if i < j && y.r_responded < x.r_invoked then ok := false)
               arr)
           arr;
         !ok
       in
-      let valid_sequential seq =
-        let rec go state = function
+      let replays seq =
+        let rec go m = function
           | [] -> true
-          | o :: rest -> (
-            match o.Workload.Linearizability.kind with
-            | Workload.Linearizability.Write v -> go (Some v) rest
-            | Workload.Linearizability.Erase -> go None rest
-            | Workload.Linearizability.Read observed -> observed = state && go state rest)
+          | (o : Workload.Chaos.recorded) :: rest ->
+            let m, reply =
+              Modelcheck.Model.Kv.apply m ~client:o.r_proc ~req_id:o.r_req o.r_cmd
+            in
+            (match o.r_reply with None -> true | Some r -> r = reply) && go m rest
         in
-        go None seq
+        go Modelcheck.Model.Kv.empty seq
       in
       let brute =
-        List.exists (fun p -> respects_realtime p && valid_sequential p) (permutations ops)
+        List.exists (fun p -> respects_realtime p && replays p) (permutations ops)
       in
-      Workload.Linearizability.check ops = brute)
+      (Modelcheck.Conformance.check ops = None) = brute)
 
 let suite =
   List.map to_alcotest

@@ -100,12 +100,12 @@ let off_is_invisible () =
 let chaos_forensics () =
   let _, o, t = chaos_run 7L in
   check "run completed" true o.Workload.Chaos.completed;
-  check "linearizable" true o.Workload.Chaos.linearizable;
+  check "conformant" true (Modelcheck.Conformance.check o.Workload.Chaos.record = None);
   let reports = An.request_reports t in
   check_int "one report per client op" o.Workload.Chaos.ops (List.length reports);
   (* crash-leader must produce at least one disruption window, and the
      requests open across it must all be accounted for (none lost or
-     duplicated on a completed, linearizable run). *)
+     duplicated on a completed, conformant run). *)
   let horizon = 2_000_000_000 in
   let ws = An.windows t ~horizon ~include_open:false in
   check "disruption window found" true (ws <> []);

@@ -376,7 +376,7 @@ let recovery_runs_are_deterministic () =
   let t1, o1 = run 7L in
   let t2, o2 = run 7L in
   Alcotest.(check string) "same seed, identical trace bytes" t1 t2;
-  check "run passed" true (Workload.Chaos.passed o1);
+  check "run passed" true (Modelcheck.Conformance.passed o1);
   check "rejoin happened" true (o1.Workload.Chaos.rejoins <> []);
   check_int "same rejoins" (List.length o1.Workload.Chaos.rejoins)
     (List.length o2.Workload.Chaos.rejoins);

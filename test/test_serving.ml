@@ -116,7 +116,7 @@ let router_agrees_with_sharded () =
 let chaos_keys_route_to_shard () =
   let shards = 4 in
   for shard = 0 to shards - 1 do
-    let keys = Serving.Chaos.keys_for ~shards ~shard ~count:3 in
+    let keys = Workload.Chaos.keys_for ~shards ~shard ~count:3 in
     check_int "enough keys" 3 (Array.length keys);
     Array.iter
       (fun k -> check_int "routes to shard" shard (Mu.Sharded.key_hash k mod shards))
@@ -366,18 +366,19 @@ let tier_deterministic () =
 let sharded_chaos scenario_name =
   match Faults.Scenario.by_name scenario_name ~n:3 with
   | None -> Alcotest.failf "unknown scenario %s" scenario_name
-  | Some scenario -> Serving.Chaos.run ~seed:41L ~n:3 ~shards:2 scenario
+  | Some scenario ->
+    Workload.Chaos.run ~shards:2 ~think:100_000 ~seed:41L ~n:3 scenario
 
 let sharded_chaos_kill_restart () =
   let o = sharded_chaos "kill-restart" in
-  check "kill-restart passes" true (Serving.Chaos.passed o);
-  check "rejoin completed" true (o.Serving.Chaos.rejoins >= 1);
-  check "history non-trivial" true (o.Serving.Chaos.ops >= 80)
+  check "kill-restart passes" true (Modelcheck.Conformance.passed o);
+  check "rejoin completed" true (o.Workload.Chaos.rejoins <> []);
+  check "history non-trivial" true (o.Workload.Chaos.ops >= 80)
 
 let sharded_chaos_partition () =
   let o = sharded_chaos "partition-leader" in
-  check "partition passes" true (Serving.Chaos.passed o);
-  check "history non-trivial" true (o.Serving.Chaos.ops >= 80)
+  check "partition passes" true (Modelcheck.Conformance.passed o);
+  check "history non-trivial" true (o.Workload.Chaos.ops >= 80)
 
 let suite =
   [

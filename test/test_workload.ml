@@ -1,5 +1,5 @@
-(* Tests for the workload library: generators and the linearizability
-   checker. *)
+(* Tests for the workload library: generators, and register-shaped and
+   replicated-KV histories judged by the conformance checker. *)
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -51,111 +51,132 @@ let order_flow_generates_valid_commands () =
   check "mostly valid flow" true (!rejected * 5 < total);
   check "book active" true (Apps.Order_book.trades_executed book > 10)
 
-(* --- linearizability checker ------------------------------------------------ *)
+(* --- register histories through the conformance checker --------------------- *)
 
-let op ~proc ~inv ~res ~key kind =
-  { Workload.Linearizability.proc; invoked = inv; responded = res; key; kind }
+(* Register-shaped KV histories: writes acked [Stored], reads answered
+   with the value they observed or [Not_found]. Each row lists histories
+   with the verdict Modelcheck.Conformance.check must reach (true =
+   conformant). *)
+let w ~proc ~inv ~res key value =
+  {
+    Workload.Chaos.r_proc = proc;
+    r_req = inv;
+    r_invoked = inv;
+    r_responded = res;
+    r_cmd = Apps.Kv_store.Put { key; value };
+    r_reply = Some Apps.Kv_store.Stored;
+  }
 
-let lin_sequential_ok () =
-  let h =
-    [
-      op ~proc:1 ~inv:0 ~res:1 ~key:"k" (Workload.Linearizability.Write "a");
-      op ~proc:1 ~inv:2 ~res:3 ~key:"k" (Workload.Linearizability.Read (Some "a"));
-      op ~proc:1 ~inv:4 ~res:5 ~key:"k" (Workload.Linearizability.Write "b");
-      op ~proc:1 ~inv:6 ~res:7 ~key:"k" (Workload.Linearizability.Read (Some "b"));
-    ]
-  in
-  check "linearizable" true (Workload.Linearizability.check h)
+let r ~proc ~inv ~res key observed =
+  {
+    Workload.Chaos.r_proc = proc;
+    r_req = inv;
+    r_invoked = inv;
+    r_responded = res;
+    r_cmd = Apps.Kv_store.Get { key };
+    r_reply =
+      Some
+        (match observed with
+        | Some v -> Apps.Kv_store.Value v
+        | None -> Apps.Kv_store.Not_found);
+  }
 
-let lin_initial_read_none () =
-  let h = [ op ~proc:1 ~inv:0 ~res:1 ~key:"k" (Workload.Linearizability.Read None) ] in
-  check "read of nothing" true (Workload.Linearizability.check h)
+let register_cases =
+  [
+    ( "lin: sequential ok",
+      [
+        ( [
+            w ~proc:1 ~inv:0 ~res:1 "k" "a";
+            r ~proc:1 ~inv:2 ~res:3 "k" (Some "a");
+            w ~proc:1 ~inv:4 ~res:5 "k" "b";
+            r ~proc:1 ~inv:6 ~res:7 "k" (Some "b");
+          ],
+          true );
+      ] );
+    ("lin: initial read none", [ ([ r ~proc:1 ~inv:0 ~res:1 "k" None ], true) ]);
+    (* Reads strictly after both writes cannot see the older value. *)
+    ( "lin: stale read rejected",
+      [
+        ( [
+            w ~proc:1 ~inv:0 ~res:1 "k" "a";
+            w ~proc:1 ~inv:2 ~res:3 "k" "b";
+            r ~proc:2 ~inv:4 ~res:5 "k" (Some "a");
+          ],
+          false );
+      ] );
+    ( "lin: concurrent writes either order",
+      List.map
+        (fun v ->
+          ( [
+              w ~proc:1 ~inv:0 ~res:10 "k" "a";
+              w ~proc:2 ~inv:0 ~res:10 "k" "b";
+              r ~proc:3 ~inv:11 ~res:12 "k" (Some v);
+            ],
+            true ))
+        [ "a"; "b" ] );
+    (* Concurrent with the second write: may see either value. *)
+    ( "lin: read during write flexible",
+      [
+        ( [
+            w ~proc:1 ~inv:0 ~res:1 "k" "a";
+            w ~proc:1 ~inv:5 ~res:15 "k" "b";
+            r ~proc:2 ~inv:6 ~res:14 "k" (Some "a");
+          ],
+          true );
+      ] );
+    (* Two sequential reads around a concurrent write observing b then a:
+       no single linearization point explains it. *)
+    ( "lin: non-atomic history rejected",
+      [
+        ( [
+            w ~proc:1 ~inv:0 ~res:1 "k" "a";
+            w ~proc:1 ~inv:10 ~res:30 "k" "b";
+            r ~proc:2 ~inv:12 ~res:14 "k" (Some "b");
+            r ~proc:2 ~inv:16 ~res:18 "k" (Some "a");
+          ],
+          false );
+      ] );
+    ( "lin: keys independent",
+      [
+        ( [
+            w ~proc:1 ~inv:0 ~res:1 "x" "1";
+            w ~proc:1 ~inv:2 ~res:3 "y" "2";
+            r ~proc:2 ~inv:4 ~res:5 "x" (Some "1");
+            r ~proc:2 ~inv:6 ~res:7 "y" (Some "2");
+          ],
+          true );
+      ] );
+    (* A read strictly after an acked overwrite must observe the new value
+       (or a later one). *)
+    ( "lin: stale read after acked write",
+      [
+        ( [
+            w ~proc:1 ~inv:0 ~res:1 "k" "v1";
+            r ~proc:2 ~inv:2 ~res:3 "k" (Some "v1");
+            w ~proc:1 ~inv:4 ~res:5 "k" "v2";
+            r ~proc:3 ~inv:6 ~res:7 "k" (Some "v1");
+          ],
+          false );
+      ] );
+    (* Real-time order forbids the state from moving backwards across
+       clients: "a" strictly before "b", then readers see b, then a. *)
+    ( "lin: cross-client inversion",
+      [
+        ( [
+            w ~proc:1 ~inv:0 ~res:1 "k" "a";
+            w ~proc:2 ~inv:2 ~res:3 "k" "b";
+            r ~proc:3 ~inv:4 ~res:5 "k" (Some "b");
+            r ~proc:4 ~inv:6 ~res:7 "k" (Some "a");
+          ],
+          false );
+      ] );
+  ]
 
-let lin_stale_read_rejected () =
-  let h =
-    [
-      op ~proc:1 ~inv:0 ~res:1 ~key:"k" (Workload.Linearizability.Write "a");
-      op ~proc:1 ~inv:2 ~res:3 ~key:"k" (Workload.Linearizability.Write "b");
-      (* Reads strictly after both writes cannot see the older value. *)
-      op ~proc:2 ~inv:4 ~res:5 ~key:"k" (Workload.Linearizability.Read (Some "a"));
-    ]
-  in
-  check "stale read caught" false (Workload.Linearizability.check h)
-
-let lin_concurrent_write_either_order () =
-  let h v =
-    [
-      op ~proc:1 ~inv:0 ~res:10 ~key:"k" (Workload.Linearizability.Write "a");
-      op ~proc:2 ~inv:0 ~res:10 ~key:"k" (Workload.Linearizability.Write "b");
-      op ~proc:3 ~inv:11 ~res:12 ~key:"k" (Workload.Linearizability.Read (Some v));
-    ]
-  in
-  check "a possible" true (Workload.Linearizability.check (h "a"));
-  check "b possible" true (Workload.Linearizability.check (h "b"))
-
-let lin_read_during_write_flexible () =
-  let h =
-    [
-      op ~proc:1 ~inv:0 ~res:1 ~key:"k" (Workload.Linearizability.Write "a");
-      op ~proc:1 ~inv:5 ~res:15 ~key:"k" (Workload.Linearizability.Write "b");
-      (* Concurrent with the second write: may see either value. *)
-      op ~proc:2 ~inv:6 ~res:14 ~key:"k" (Workload.Linearizability.Read (Some "a"));
-    ]
-  in
-  check "concurrent read of old value ok" true (Workload.Linearizability.check h)
-
-let lin_nonatomic_history_rejected () =
-  (* Two sequential reads around a concurrent write observing b then a:
-     no single linearization point explains it. *)
-  let h =
-    [
-      op ~proc:1 ~inv:0 ~res:1 ~key:"k" (Workload.Linearizability.Write "a");
-      op ~proc:1 ~inv:10 ~res:30 ~key:"k" (Workload.Linearizability.Write "b");
-      op ~proc:2 ~inv:12 ~res:14 ~key:"k" (Workload.Linearizability.Read (Some "b"));
-      op ~proc:2 ~inv:16 ~res:18 ~key:"k" (Workload.Linearizability.Read (Some "a"));
-    ]
-  in
-  check "b-then-a rejected" false (Workload.Linearizability.check h)
-
-let lin_keys_independent () =
-  let h =
-    [
-      op ~proc:1 ~inv:0 ~res:1 ~key:"x" (Workload.Linearizability.Write "1");
-      op ~proc:1 ~inv:2 ~res:3 ~key:"y" (Workload.Linearizability.Write "2");
-      op ~proc:2 ~inv:4 ~res:5 ~key:"x" (Workload.Linearizability.Read (Some "1"));
-      op ~proc:2 ~inv:6 ~res:7 ~key:"y" (Workload.Linearizability.Read (Some "2"));
-    ]
-  in
-  check "multi-key ok" true (Workload.Linearizability.check h)
-
-let lin_stale_read_after_acked_write_rejected () =
-  (* Adversarial: a fourth client reads "v1" strictly after proc1's write
-     of "v2" was acknowledged — every read after an acked overwrite must
-     observe the new value (or a later one). *)
-  let h =
-    [
-      op ~proc:1 ~inv:0 ~res:1 ~key:"k" (Workload.Linearizability.Write "v1");
-      op ~proc:2 ~inv:2 ~res:3 ~key:"k" (Workload.Linearizability.Read (Some "v1"));
-      op ~proc:1 ~inv:4 ~res:5 ~key:"k" (Workload.Linearizability.Write "v2");
-      op ~proc:3 ~inv:6 ~res:7 ~key:"k" (Workload.Linearizability.Read (Some "v1"));
-    ]
-  in
-  check "stale read after acked write rejected" false
-    (Workload.Linearizability.check h)
-
-let lin_cross_client_inversion_rejected () =
-  (* Adversarial: two non-overlapping writes ("a" strictly before "b"),
-     then a reader sees "b" while a later reader sees "a" — real-time
-     order forbids the state from moving backwards across clients. *)
-  let h =
-    [
-      op ~proc:1 ~inv:0 ~res:1 ~key:"k" (Workload.Linearizability.Write "a");
-      op ~proc:2 ~inv:2 ~res:3 ~key:"k" (Workload.Linearizability.Write "b");
-      op ~proc:3 ~inv:4 ~res:5 ~key:"k" (Workload.Linearizability.Read (Some "b"));
-      op ~proc:4 ~inv:6 ~res:7 ~key:"k" (Workload.Linearizability.Read (Some "a"));
-    ]
-  in
-  check "cross-client inversion rejected" false (Workload.Linearizability.check h)
+let register_case histories () =
+  List.iter
+    (fun (h, conformant) ->
+      check "verdict" conformant (Modelcheck.Conformance.check h = None))
+    histories
 
 (* --- end to end: the replicated KV is linearizable -------------------------- *)
 
@@ -167,7 +188,6 @@ let replicated_kv_is_linearizable () =
   in
   Mu.Smr.start smr;
   let history = ref [] in
-  let record o = history := o :: !history in
   let n_clients = 4 and ops_per_client = 25 in
   let finished = ref 0 in
   for proc = 1 to n_clients do
@@ -177,33 +197,25 @@ let replicated_kv_is_linearizable () =
         for i = 1 to ops_per_client do
           let key = Printf.sprintf "key%d" (Sim.Rng.int rng 3) in
           let req_id = (proc * 1000) + i in
-          if Sim.Rng.bool rng then begin
-            let value = Printf.sprintf "p%d-%d" proc i in
-            let inv = Sim.Engine.now e in
-            ignore
-              (Mu.Smr.submit smr
-                 (Apps.Kv_store.encode_command ~client:proc ~req_id
-                    (Apps.Kv_store.Put { key; value })));
-            record
-              (op ~proc ~inv ~res:(Sim.Engine.now e) ~key
-                 (Workload.Linearizability.Write value))
-          end
-          else begin
-            let inv = Sim.Engine.now e in
-            let reply =
-              Mu.Smr.submit smr
-                (Apps.Kv_store.encode_command ~client:proc ~req_id
-                   (Apps.Kv_store.Get { key }))
-            in
-            let observed =
-              match Apps.Kv_store.decode_reply reply with
-              | Some (Apps.Kv_store.Value v) -> Some v
-              | _ -> None
-            in
-            record
-              (op ~proc ~inv ~res:(Sim.Engine.now e) ~key
-                 (Workload.Linearizability.Read observed))
-          end
+          let cmd =
+            if Sim.Rng.bool rng then
+              Apps.Kv_store.Put { key; value = Printf.sprintf "p%d-%d" proc i }
+            else Apps.Kv_store.Get { key }
+          in
+          let inv = Sim.Engine.now e in
+          let reply =
+            Mu.Smr.submit smr (Apps.Kv_store.encode_command ~client:proc ~req_id cmd)
+          in
+          history :=
+            {
+              Workload.Chaos.r_proc = proc;
+              r_req = req_id;
+              r_invoked = inv;
+              r_responded = Sim.Engine.now e;
+              r_cmd = cmd;
+              r_reply = Apps.Kv_store.decode_reply reply;
+            }
+            :: !history
         done;
         incr finished;
         if !finished = n_clients then begin
@@ -213,7 +225,8 @@ let replicated_kv_is_linearizable () =
   done;
   Sim.Engine.run ~until:120_000_000_000 e;
   check_int "all clients finished" n_clients !finished;
-  check "history linearizable" true (Workload.Linearizability.check !history)
+  check "replies conform to the KV model" true
+    (Modelcheck.Conformance.check !history = None)
 
 let suite =
   [
@@ -221,14 +234,8 @@ let suite =
     ("zipf skew", `Quick, zipf_skew);
     ("zipf uniform at theta 0", `Quick, zipf_uniform_when_theta_zero);
     ("order flow valid", `Quick, order_flow_generates_valid_commands);
-    ("lin: sequential ok", `Quick, lin_sequential_ok);
-    ("lin: initial read none", `Quick, lin_initial_read_none);
-    ("lin: stale read rejected", `Quick, lin_stale_read_rejected);
-    ("lin: concurrent writes either order", `Quick, lin_concurrent_write_either_order);
-    ("lin: read during write flexible", `Quick, lin_read_during_write_flexible);
-    ("lin: non-atomic history rejected", `Quick, lin_nonatomic_history_rejected);
-    ("lin: keys independent", `Quick, lin_keys_independent);
-    ("lin: stale read after acked write", `Quick, lin_stale_read_after_acked_write_rejected);
-    ("lin: cross-client inversion", `Quick, lin_cross_client_inversion_rejected);
-    ("replicated kv is linearizable", `Quick, replicated_kv_is_linearizable);
   ]
+  @ List.map
+      (fun (name, histories) -> (name, `Quick, register_case histories))
+      register_cases
+  @ [ ("replicated kv is linearizable", `Quick, replicated_kv_is_linearizable) ]
