@@ -252,8 +252,9 @@ let peer t id =
   | None -> invalid_arg (Printf.sprintf "Replica.peer: replica %d has no peer %d" t.id id)
 
 (* Tags in [inflight] identify which plane posted a work request on the
-   shared replication CQ. Positive tags are propose/catch-up rounds
-   (Replication.fresh_tag); the reserved negative tags below mark
+   shared replication CQ. Positive tags are propose/catch-up rounds and
+   the leader window's slot groups, each drawn from Replication.fresh_tag
+   so no two live rounds share one; the reserved negative tags below mark
    background writes whose completions the propose path reaps on the
    posting plane's behalf. *)
 let recycler_tag = -2

@@ -9,10 +9,13 @@
 
     Two service loops, chosen by configuration:
     - {b simple}: one propose at a time ([max_outstanding = 1],
-      [max_batch = 1]) — the latency-oriented setup of Figs. 3–5;
-    - {b pipelined}: up to [max_outstanding] slots in flight, each carrying
-      up to [max_batch] coalesced requests — the throughput setup of
-      Fig. 7.
+      [doorbell = 1]) — the latency-oriented setup of Figs. 3–5;
+    - {b window}: when [max_outstanding > 1] or [doorbell > 1], up to
+      [max_outstanding] groups of up to [doorbell] contiguous slots in
+      flight, each slot carrying up to [max_batch] coalesced requests and
+      each group replicated by one RDMA write per follower. With
+      [doorbell = 1] every group is a single slot: the throughput setup
+      of Fig. 7.
 
     Delivery guarantee: entries commit in log order and are injected
     exactly once per replica. A request whose leader aborts mid-propose is

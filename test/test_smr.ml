@@ -13,9 +13,10 @@ let counting_app () =
           log := Bytes.to_string req :: !log;
           Bytes.of_string ("ack:" ^ Bytes.to_string req)) )
 
-let with_smr ?(cfg = Mu.Config.default) ?(make_app = fun _ -> Mu.Smr.stateless_app Fun.id) f
-    =
+let with_smr ?(cfg = Mu.Config.default) ?(make_app = fun _ -> Mu.Smr.stateless_app Fun.id)
+    ?(instrument = ignore) f =
   let e = Util.engine () in
+  instrument e;
   let smr = Mu.Smr.create e Util.default_cal cfg ~make_app in
   Mu.Smr.start smr;
   let result = ref None in
@@ -141,6 +142,79 @@ let pipelined_throughput_exceeds_serial () =
     (Printf.sprintf "pipelining faster (serial %dns vs piped %dns)" serial piped)
     true
     (piped * 3 < serial * 2)
+
+(* Trace identity of the leader's window loop across commits: a
+   provenance-traced windowed run is pinned by its MD5, one digest for
+   single-slot groups (the Fig. 7 pipeline) and one for doorbell groups
+   of four. A refactor that claims equal output must keep both. *)
+let window_trace_digest cfg =
+  let tr = Trace.Tracer.create () in
+  let instrument e =
+    Trace.Tracer.attach tr e;
+    Sim.Engine.set_provenance e true
+  in
+  with_smr ~cfg ~instrument (fun _ smr ->
+      Mu.Smr.wait_live smr;
+      for round = 0 to 3 do
+        let ivs =
+          List.init 24 (fun i ->
+              Mu.Smr.submit_async smr (Bytes.of_string (Printf.sprintf "r%d-%d" round i)))
+        in
+        List.iter (fun iv -> ignore (Sim.Engine.Ivar.read iv)) ivs
+      done);
+  Digest.to_hex (Digest.string (Trace.Tracer.chrome_string tr))
+
+let golden name =
+  let ic = open_in_bin ("golden/" ^ name) in
+  let s = String.trim (In_channel.input_all ic) in
+  close_in ic;
+  s
+
+let window_trace_digests_pinned () =
+  let window = { Mu.Config.default with Mu.Config.max_outstanding = 4 } in
+  Alcotest.(check string)
+    "doorbell-1 window trace digest" (golden "smr_window_d1_seed7.md5")
+    (window_trace_digest window);
+  Alcotest.(check string)
+    "doorbell-4 window trace digest" (golden "smr_window_d4_seed7.md5")
+    (window_trace_digest { window with Mu.Config.max_batch = 4; doorbell = 4 })
+
+(* Window acks are matched by a tag unique to each slot group. A tracked
+   success left over from an earlier round (a straggler ack of the
+   establish no-op, or an aborted term's write) whose tag happens to equal
+   the next slot index must not count towards that slot's majority: with
+   n = 5 and three followers slowed down, the reply may only arrive once
+   three logs hold the slot. *)
+let window_ignores_stale_completion () =
+  let cfg = { Mu.Config.default with Mu.Config.n = 5; max_outstanding = 4 } in
+  with_smr ~cfg (fun e smr ->
+      Mu.Smr.wait_live smr;
+      let l = Option.get (Mu.Smr.leader smr) in
+      let lid = l.Mu.Replica.id in
+      let followers = List.filter (( <> ) lid) [ 0; 1; 2; 3; 4 ] in
+      let slow = List.filteri (fun i _ -> i < 3) followers in
+      List.iter
+        (fun f -> Sim.Fabric.set_delay (Sim.Engine.fabric e) ~src:lid ~dst:f 50_000)
+        slow;
+      let idx = Mu.Log.fuo l.Mu.Replica.log in
+      let iv = Mu.Smr.submit_async ~retry:false smr (Bytes.of_string "x") in
+      while Mu.Log.read_slot l.Mu.Replica.log idx = None do
+        Sim.Engine.sleep e 10
+      done;
+      let wr = Mu.Replica.fresh_wr_id l in
+      Hashtbl.replace l.Mu.Replica.inflight wr (List.hd slow, idx);
+      Rdma.Cq.push l.Mu.Replica.repl_cq
+        { Rdma.Verbs.wr_id = wr; kind = `Write; status = Rdma.Verbs.Success; byte_len = 0 };
+      ignore (Sim.Engine.Ivar.read iv);
+      let holders =
+        Array.fold_left
+          (fun acc (r : Mu.Replica.t) ->
+            if Mu.Log.read_slot r.Mu.Replica.log idx <> None then acc + 1 else acc)
+          0 (Mu.Smr.replicas smr)
+      in
+      check
+        (Printf.sprintf "reply only once a majority holds slot %d (%d of 5)" idx holders)
+        true (holders >= 3))
 
 let failover_under_load () =
   let log, make_app = counting_app () in
@@ -309,6 +383,8 @@ let suite =
     ("batching coalesces", `Quick, batching_coalesces);
     ("pipelining works", `Quick, pipelining_works);
     ("pipelined throughput exceeds serial", `Quick, pipelined_throughput_exceeds_serial);
+    ("window trace digests pinned", `Quick, window_trace_digests_pinned);
+    ("window ignores stale completion", `Quick, window_ignores_stale_completion);
     ("failover under load", `Quick, failover_under_load);
     ("no unique leader during transition", `Quick, no_unique_leader_during_transition);
     ("recycling under smr load", `Quick, recycling_under_smr_load);
