@@ -87,46 +87,41 @@ let note_recycler t ~pid ~tag ~status =
           "recycler_write_failed"
   end
 
-(* Consume completions until [needed] successes with tag [tag] have been
-   seen; returns the peer ids that succeeded. Completions from older tags
-   are discarded if successful — but any error completion means this
+(* One completion off the replication CQ: forget its work request, do the
+   recycler bookkeeping, and return [Some (peer, tag)] on success. A
+   completion that matches no tracked request is stale (it belongs to an
+   aborted round) and yields [None]. Any error completion means this
    leader lost write permission somewhere (or a follower died) and aborts
    the call, matching "abort if any write fails" (Listing 2). *)
+let completion t (wc : Rdma.Verbs.wc) =
+  match Hashtbl.find_opt t.Replica.inflight wc.Rdma.Verbs.wr_id with
+  | None -> None
+  | Some (pid, tg) -> (
+    Hashtbl.remove t.Replica.inflight wc.Rdma.Verbs.wr_id;
+    note_recycler t ~pid ~tag:tg ~status:wc.Rdma.Verbs.status;
+    match wc.Rdma.Verbs.status with
+    | Rdma.Verbs.Success -> Some (pid, tg)
+    | Rdma.Verbs.Remote_access_error | Rdma.Verbs.Operation_timeout | Rdma.Verbs.Flushed ->
+      abort t
+        (Fmt.str "operation on peer %d failed: %a" pid Rdma.Verbs.pp_wc_status
+           wc.Rdma.Verbs.status))
+
+(* Consume completions until [needed] successes with tag [tag] have been
+   seen; returns the peer ids that succeeded. Successes of older tags are
+   discarded. *)
 let await_tag t ~tag ~needed =
   let successes = ref [] in
   while List.length !successes < needed do
-    let wc = Rdma.Cq.await t.Replica.repl_cq in
-    match Hashtbl.find_opt t.Replica.inflight wc.Rdma.Verbs.wr_id with
-    | None -> () (* stale: belongs to an aborted round *)
-    | Some (pid, tg) -> (
-      Hashtbl.remove t.Replica.inflight wc.Rdma.Verbs.wr_id;
-      note_recycler t ~pid ~tag:tg ~status:wc.Rdma.Verbs.status;
-      match wc.Rdma.Verbs.status with
-      | Rdma.Verbs.Success -> if tg = tag then successes := pid :: !successes
-      | Rdma.Verbs.Remote_access_error | Rdma.Verbs.Operation_timeout | Rdma.Verbs.Flushed
-        ->
-        abort t
-          (Fmt.str "operation on peer %d failed: %a" pid Rdma.Verbs.pp_wc_status
-             wc.Rdma.Verbs.status))
+    match completion t (Rdma.Cq.await t.Replica.repl_cq) with
+    | Some (pid, tg) when tg = tag -> successes := pid :: !successes
+    | Some _ | None -> ()
   done;
   !successes
 
 let drain_completion t ~timeout =
   match Rdma.Cq.await_timeout t.Replica.repl_cq timeout with
   | None -> None
-  | Some wc -> (
-    match Hashtbl.find_opt t.Replica.inflight wc.Rdma.Verbs.wr_id with
-    | None -> None
-    | Some (pid, tg) -> (
-      Hashtbl.remove t.Replica.inflight wc.Rdma.Verbs.wr_id;
-      note_recycler t ~pid ~tag:tg ~status:wc.Rdma.Verbs.status;
-      match wc.Rdma.Verbs.status with
-      | Rdma.Verbs.Success -> Some (pid, tg)
-      | Rdma.Verbs.Remote_access_error | Rdma.Verbs.Operation_timeout | Rdma.Verbs.Flushed
-        ->
-        abort t
-          (Fmt.str "operation on peer %d failed: %a" pid Rdma.Verbs.pp_wc_status
-             wc.Rdma.Verbs.status)))
+  | Some wc -> completion t wc
 
 (* --- permission acquisition (Listing 2, lines 8-12) ------------------- *)
 

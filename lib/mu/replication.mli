@@ -63,10 +63,18 @@ val post_accept_range : Replica.t -> idx:int -> imgs:Bytes.t list -> int
 val remote_majority : Replica.t -> int
 (** Number of remote completions that constitute a majority with self. *)
 
+val completion : Replica.t -> Rdma.Verbs.wc -> (int * int) option
+(** The one handler for a completion taken off the replication CQ, shared
+    by every consumer (the propose path, {!drain_completion}, and the
+    window loop's idle reap): remove its work request from the in-flight
+    table, update the recycler's outstanding count if it was a zeroing
+    write, and return [Some (peer, tag)] on success. [None] means a stale
+    completion that matches no tracked request (it belongs to an aborted
+    round). Raises {!Aborted} on an error completion. *)
+
 val drain_completion : Replica.t -> timeout:int -> (int * int) option
-(** Consume one completion from the replication CQ: [Some (peer, tag)] on
-    success, [None] on timeout or a stale (unmatched) completion. Raises
-    {!Aborted} on an error completion. *)
+(** Wait up to [timeout] ns for one completion on the replication CQ and
+    pass it to {!completion}; [None] on timeout or a stale completion. *)
 
 val wait_log_space : Replica.t -> idx:int -> unit
 (** Block while slot [idx] would overrun the circular log (§5.3 — "the log

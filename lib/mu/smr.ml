@@ -313,16 +313,12 @@ let serve_window t (r : Replica.t) =
   let c = Replica.cal r in
   let pending : group Queue.t = Queue.create () in
   let inflight_slots () = Queue.fold (fun acc g -> acc + g.count) 0 pending in
+  let abandon s =
+    if s.span <> 0 then Sim.Engine.span_close t.engine ~args:[ ("outcome", "aborted") ] s.span;
+    requeue t s.reqs
+  in
   let restore_pending () =
-    Queue.iter
-      (fun g ->
-        List.iter
-          (fun s ->
-            if s.span <> 0 then
-              Sim.Engine.span_close t.engine ~args:[ ("outcome", "aborted") ] s.span;
-            requeue t s.reqs)
-          g.slots)
-      pending;
+    Queue.iter (fun g -> List.iter abandon g.slots) pending;
     Queue.clear pending
   in
   try
@@ -330,78 +326,107 @@ let serve_window t (r : Replica.t) =
     if r.Replica.need_new_followers || not r.Replica.skip_prepare then
       ignore (Replication.propose r noop);
     let needed = Replication.remote_majority r in
-    while r.Replica.role = Replica.Leader && not r.Replica.stop do
-      (* Fill: gather up to [doorbell] batches into one contiguous group. *)
-      let filled = ref false in
-      if Queue.length pending < t.cfg.Config.max_outstanding then begin
+    (* Fill: gather up to [doorbell] batches, starting with [first], into
+       one contiguous group and post it. A fill that aborts hands its
+       requests back to the queue before the abort propagates. *)
+    let fill first =
+      let base = Log.fuo r.Replica.log + inflight_slots () in
+      (* One wire write must stay physically contiguous, so a group never
+         crosses the circular-log wrap boundary (§5.3). *)
+      let room = Log.slots r.Replica.log - (base mod Log.slots r.Replica.log) in
+      let limit = max 1 (min t.cfg.Config.doorbell room) in
+      let batches = ref [ gather_batch t first ] in
+      let nbatches = ref 1 in
+      let more = ref true in
+      while !nbatches < limit && !more do
         match Sim.Engine.Chan.poll t.incoming with
-        | Some first ->
-          let base = Log.fuo r.Replica.log + inflight_slots () in
-          (* One wire write must stay physically contiguous, so a group
-             never crosses the circular-log wrap boundary (§5.3). *)
-          let room = Log.slots r.Replica.log - (base mod Log.slots r.Replica.log) in
-          let limit = max 1 (min t.cfg.Config.doorbell room) in
-          let batches = ref [ gather_batch t first ] in
-          let nbatches = ref 1 in
-          let more = ref true in
-          while !nbatches < limit && !more do
-            match Sim.Engine.Chan.poll t.incoming with
-            | Some next ->
-              batches := gather_batch t next :: !batches;
-              incr nbatches
-            | None -> more := false
-          done;
-          let batches = List.rev !batches in
-          Sim.Host.cpu r.Replica.host (attach_cost t);
-          List.iter
-            (List.iter (fun req ->
-                 Sim.Host.cpu r.Replica.host (stage_cost t (Bytes.length req.payload))))
-            batches;
-          Replication.wait_log_space r ~idx:(base + !nbatches - 1);
-          let doorbell_arg =
-            if t.cfg.Config.doorbell > 1 then [ ("doorbell", string_of_int !nbatches) ]
-            else []
-          in
-          let slots =
-            List.mapi
-              (fun i reqs ->
-                let idx = base + i in
-                let span =
-                  Sim.Engine.span_open t.engine ~pid:r.Replica.id
-                    ~args:
-                      (("reqs", string_of_int (List.length reqs))
-                      :: ("idx", string_of_int idx)
-                      :: doorbell_arg)
-                    "batch"
-                in
-                prov_pickup t span reqs;
-                (match r.Replica.tel with
-                | Some tel -> Telem.batch_occupancy tel (List.length reqs)
-                | None -> ());
-                { idx; reqs; span })
-              batches
-          in
-          let imgs =
-            List.map
-              (fun s ->
-                let value = encode_batch (List.map (fun req -> req.payload) s.reqs) in
-                Log.encode_slot r.Replica.log ~proposal:r.Replica.prop_num ~value)
-              slots
-          in
-          let tag = Replication.post_accept_range r ~idx:base ~imgs in
-          Queue.push { tag; first = base; count = !nbatches; acks = 0; slots } pending;
-          filled := true
-        | None -> ()
-      end;
-      (* Drain completions; block briefly when there is nothing to send. *)
-      if not !filled then begin
-        let timeout =
-          if Queue.is_empty pending then c.Sim.Calibration.fd_read_interval else 2_000
+        | Some next ->
+          batches := gather_batch t next :: !batches;
+          incr nbatches
+        | None -> more := false
+      done;
+      let batches = List.rev !batches in
+      Sim.Host.cpu r.Replica.host (attach_cost t);
+      List.iter
+        (List.iter (fun req ->
+             Sim.Host.cpu r.Replica.host (stage_cost t (Bytes.length req.payload))))
+        batches;
+      let doorbell_arg =
+        if t.cfg.Config.doorbell > 1 then [ ("doorbell", string_of_int !nbatches) ] else []
+      in
+      let slots =
+        List.mapi
+          (fun i reqs ->
+            let idx = base + i in
+            let span =
+              Sim.Engine.span_open t.engine ~pid:r.Replica.id
+                ~args:
+                  (("reqs", string_of_int (List.length reqs))
+                  :: ("idx", string_of_int idx)
+                  :: doorbell_arg)
+                "batch"
+            in
+            prov_pickup t span reqs;
+            (match r.Replica.tel with
+            | Some tel -> Telem.batch_occupancy tel (List.length reqs)
+            | None -> ());
+            { idx; reqs; span })
+          batches
+      in
+      match
+        Replication.wait_log_space r ~idx:(base + !nbatches - 1);
+        let imgs =
+          List.map
+            (fun s ->
+              let value = encode_batch (List.map (fun req -> req.payload) s.reqs) in
+              Log.encode_slot r.Replica.log ~proposal:r.Replica.prop_num ~value)
+            slots
         in
-        match Replication.drain_completion r ~timeout with
-        | Some (_, tag) ->
-          Queue.iter (fun g -> if g.tag = tag then g.acks <- g.acks + 1) pending
+        Replication.post_accept_range r ~idx:base ~imgs
+      with
+      | tag -> Queue.push { tag; first = base; count = !nbatches; acks = 0; slots } pending
+      | exception (Replication.Aborted _ as exn) ->
+        List.iter abandon slots;
+        raise exn
+    in
+    (* Reap, without blocking, what is already on the replication CQ. *)
+    let rec reap () =
+      match Rdma.Cq.poll r.Replica.repl_cq with
+      | Some wc ->
+        ignore (Replication.completion r wc);
+        reap ()
+      | None -> ()
+    in
+    while r.Replica.role = Replica.Leader && not r.Replica.stop do
+      if Queue.is_empty pending then begin
+        (* Idle: no completion can commit anything, so wait on what can
+           wake the loop — the request queue. The CQ only holds stragglers
+           (late acks of committed groups) and recycler writes; reaping
+           them before each wait keeps their bookkeeping at most one wait
+           behind. *)
+        reap ();
+        match Sim.Engine.Chan.recv_timeout t.incoming c.Sim.Calibration.fd_read_interval with
+        | Some first ->
+          if r.Replica.role = Replica.Leader && not r.Replica.stop then fill first
+          else requeue t [ first ]
         | None -> ()
+      end
+      else begin
+        let filled =
+          Queue.length pending < t.cfg.Config.max_outstanding
+          &&
+          match Sim.Engine.Chan.poll t.incoming with
+          | Some first ->
+            fill first;
+            true
+          | None -> false
+        in
+        (* Drain completions; block briefly when there is nothing to send. *)
+        if not filled then
+          match Replication.drain_completion r ~timeout:2_000 with
+          | Some (_, tag) ->
+            Queue.iter (fun g -> if g.tag = tag then g.acks <- g.acks + 1) pending
+          | None -> ()
       end;
       (* Commit whole groups in order from the head of the window. *)
       let continue_ = ref true in

@@ -17,6 +17,12 @@
       [doorbell = 1] every group is a single slot: the throughput setup
       of Fig. 7.
 
+    Both loops, when idle, block on the request queue for up to
+    [fd_read_interval], so a request that reaches an idle leader is
+    replicated at once. The window loop first reaps, without blocking,
+    the completions already on the replication CQ; with groups in flight
+    it waits on the CQ instead, since only an ack can commit.
+
     Delivery guarantee: entries commit in log order and are injected
     exactly once per replica. A request whose leader aborts mid-propose is
     re-submitted by the service loop, so a request may commit {e twice}

@@ -361,6 +361,38 @@ let tier_deterministic () =
   in
   check "tier runs deterministic per seed" true (run () = run ())
 
+(* Latency against load on one shard (batch 8, doorbell 4). A lightly
+   loaded leader sits idle between requests and must still answer within
+   the Fig. 3 replication band plus staging; light load may not be slower
+   than heavier load. (p50 is not strictly monotone in load: batching
+   can make a busier leader slightly faster, so only light-vs-loaded is
+   asserted.) *)
+let tier_p50 ~per_us =
+  let report =
+    Workload.Experiments.run_sim (tier_setup 34L) ~until:10_000_000_000 (fun e ->
+        let think_ns = 10_000_000 in
+        let population =
+          Serving.Population.create
+            ~clients:(int_of_float (per_us *. float_of_int think_ns /. 1_000.))
+            ~think_ns
+            (Sim.Rng.split (Sim.Engine.rng e))
+        in
+        Serving.Tier.run e Util.default_cal
+          (Serving.Surface.config ~batch:8 ~doorbell:4)
+          ~shards:1 ~population ~duration:2_000_000 ())
+  in
+  report.Serving.Tier.p50_ns
+
+let tier_light_load_not_slower () =
+  let light = tier_p50 ~per_us:0.02 in
+  let p1 = tier_p50 ~per_us:1.0 and p10 = tier_p50 ~per_us:10.0 in
+  check (Printf.sprintf "p50 at 0.02 req/us = %d ns <= 2 us" light) true (light <= 2_000);
+  check
+    (Printf.sprintf "p50 at 0.02 req/us (%d ns) <= p50 at 1 (%d) and 10 req/us (%d)" light p1
+       p10)
+    true
+    (light <= p1 && light <= p10)
+
 (* --- sharded chaos (satellite 3) ---------------------------------------- *)
 
 let sharded_chaos scenario_name =
@@ -399,6 +431,7 @@ let suite =
     ("tier smoke", `Quick, tier_smoke);
     ("tier sheds under pressure", `Quick, tier_sheds_under_pressure);
     ("tier deterministic", `Quick, tier_deterministic);
+    ("tier light load not slower", `Quick, tier_light_load_not_slower);
     ("sharded chaos: kill-restart", `Quick, sharded_chaos_kill_restart);
     ("sharded chaos: partition", `Quick, sharded_chaos_partition);
   ]

@@ -216,6 +216,62 @@ let window_ignores_stale_completion () =
         (Printf.sprintf "reply only once a majority holds slot %d (%d of 5)" idx holders)
         true (holders >= 3))
 
+(* A fill step takes its batches off the queue and opens their spans
+   before the group's write is posted. If the post aborts — here the
+   leader loses write permission on its own log while it stages the
+   group — those requests must go back to the queue, not vanish: a
+   ~retry:false client is answered once the leader re-establishes. *)
+let window_requeues_aborted_fill () =
+  let cfg =
+    { Mu.Config.default with Mu.Config.n = 3; max_outstanding = 4; doorbell = 4; max_batch = 8 }
+  in
+  with_smr ~cfg (fun e smr ->
+      Mu.Smr.wait_live smr;
+      ignore (Mu.Smr.submit smr (Bytes.of_string "warm-up"));
+      let l = Option.get (Mu.Smr.leader smr) in
+      let iv = Mu.Smr.submit_async ~retry:false smr (Bytes.of_string "x") in
+      while Mu.Smr.queue_depth smr > 0 do
+        Sim.Engine.sleep e 1
+      done;
+      l.Mu.Replica.perm_holder <- Some ((l.Mu.Replica.id + 1) mod 3);
+      let deadline = Sim.Engine.now e + 5_000_000 in
+      while (not (Sim.Engine.Ivar.is_filled iv)) && Sim.Engine.now e < deadline do
+        Sim.Engine.sleep e 1_000
+      done;
+      check "aborted fill's request answered within 5 ms" true (Sim.Engine.Ivar.is_filled iv))
+
+(* An idle window loop waits on the request queue, so a request that
+   reaches an idle leader is replicated at once, wherever it falls in the
+   loop's fd_read_interval (40 µs) wait. *)
+let window_wakes_on_request () =
+  let cfg = { Mu.Config.default with Mu.Config.max_outstanding = 4; doorbell = 4; max_batch = 8 } in
+  with_smr ~cfg (fun e smr ->
+      Mu.Smr.wait_live smr;
+      ignore (Mu.Smr.submit smr (Bytes.of_string "warm-up"));
+      List.iter
+        (fun offset_us ->
+          Sim.Engine.sleep e (offset_us * 1_000);
+          let t0 = Sim.Engine.now e in
+          ignore (Mu.Smr.submit smr (Bytes.of_string (string_of_int offset_us)));
+          let dt = Sim.Engine.now e - t0 in
+          check
+            (Printf.sprintf "reply %d ns after a submit %d us after the last commit" dt offset_us)
+            true (dt <= 3_000))
+        [ 0; 7; 13; 29; 39 ])
+
+(* While idle the loop does not wait on the replication CQ, so it reaps
+   what lands there (late acks, recycler zeroing writes) before each
+   wait: after two idle waits nothing is left over. *)
+let window_reaps_while_idle () =
+  let cfg = { Mu.Config.default with Mu.Config.max_outstanding = 4; doorbell = 4; max_batch = 8 } in
+  with_smr ~cfg (fun e smr ->
+      Mu.Smr.wait_live smr;
+      ignore (Mu.Smr.submit smr (Bytes.of_string "x"));
+      let l = Option.get (Mu.Smr.leader smr) in
+      Sim.Engine.sleep e (2 * Util.default_cal.Sim.Calibration.fd_read_interval);
+      check_int "replication CQ reaped" 0 (Rdma.Cq.pending l.Mu.Replica.repl_cq);
+      check_int "recycler writes reaped" 0 l.Mu.Replica.recycler_outstanding)
+
 let failover_under_load () =
   let log, make_app = counting_app () in
   with_smr ~make_app (fun e smr ->
@@ -385,6 +441,9 @@ let suite =
     ("pipelined throughput exceeds serial", `Quick, pipelined_throughput_exceeds_serial);
     ("window trace digests pinned", `Quick, window_trace_digests_pinned);
     ("window ignores stale completion", `Quick, window_ignores_stale_completion);
+    ("window requeues aborted fill", `Quick, window_requeues_aborted_fill);
+    ("window wakes on request", `Quick, window_wakes_on_request);
+    ("window reaps while idle", `Quick, window_reaps_while_idle);
     ("failover under load", `Quick, failover_under_load);
     ("no unique leader during transition", `Quick, no_unique_leader_during_transition);
     ("recycling under smr load", `Quick, recycling_under_smr_load);
