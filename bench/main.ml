@@ -966,158 +966,156 @@ let () =
     Fmt.pr "%s" (Telemetry.Dashboard.render ~sampler:smp (Telemetry.Sampler.registry smp))
   | _ -> ());
   (* --- BENCH_results.json / BENCH_history.jsonl ---------------------------- *)
-  (let b = Buffer.create 1024 in
+  (let int = Json.num_of_int in
+   let opt f = function Some v -> f v | None -> Json.Null in
    let samples_json s =
-     Printf.sprintf "{\"p50\":%d,\"p99\":%d,\"p999\":%d}"
-       (Sim.Stats.Samples.median s)
-       (Sim.Stats.Samples.percentile s 99.0)
-       (Sim.Stats.Samples.percentile s 99.9)
+     Json.Obj
+       [
+         ("p50", int (Sim.Stats.Samples.median s));
+         ("p99", int (Sim.Stats.Samples.percentile s 99.0));
+         ("p999", int (Sim.Stats.Samples.percentile s 99.9));
+       ]
    in
-   Buffer.add_string b (Printf.sprintf "\"seed\":%Ld,\"quick\":%b," !seed !quick);
-   Buffer.add_string b
-     (Printf.sprintf "\"figures\":[%s],"
-        (String.concat ","
-           (List.map (fun f -> "\"" ^ f ^ "\"") (List.rev !figures_run))));
-   Buffer.add_string b "\"replication_latency_ns\":";
-   (match !mu_samples with
-   | Some s -> Buffer.add_string b (samples_json s)
-   | None -> Buffer.add_string b "null");
-   Buffer.add_string b ",\"failover_ns\":";
-   (match !failover_result with
-   | Some r ->
-     Buffer.add_string b
-       (Printf.sprintf "{\"total\":%s,\"detection\":%s,\"switch\":%s}"
-          (samples_json r.E.total) (samples_json r.E.detection) (samples_json r.E.switch))
-   | None -> Buffer.add_string b "null");
-   Buffer.add_string b ",\"recovery\":";
-   (match !recovery_outcome with
-   | Some o ->
-     let rejoins =
-       String.concat ","
-         (List.map
-            (fun (r : Mu.Smr.rejoin) ->
-              Printf.sprintf
-                "{\"pid\":%d,\"rejoin_time_to_parity_ns\":%d,\"catch_up_entries\":%d,\
-                 \"pull_rounds\":%d,\"recheckpoints\":%d}"
-                r.Mu.Smr.pid
-                (r.Mu.Smr.parity_at - r.Mu.Smr.restarted_at)
-                r.Mu.Smr.entries_pulled r.Mu.Smr.pull_rounds r.Mu.Smr.recheckpoints)
-            o.Workload.Chaos.rejoins)
+   let failover_json (r : E.failover_stats) =
+     Json.Obj
+       [
+         ("total", samples_json r.E.total);
+         ("detection", samples_json r.E.detection);
+         ("switch", samples_json r.E.switch);
+       ]
+   in
+   let rejoin_json (r : Mu.Smr.rejoin) =
+     Json.Obj
+       [
+         ("pid", int r.Mu.Smr.pid);
+         ("rejoin_time_to_parity_ns", int (r.Mu.Smr.parity_at - r.Mu.Smr.restarted_at));
+         ("catch_up_entries", int r.Mu.Smr.entries_pulled);
+         ("pull_rounds", int r.Mu.Smr.pull_rounds);
+         ("recheckpoints", int r.Mu.Smr.recheckpoints);
+       ]
+   in
+   let recovery_json (o : Workload.Chaos.outcome) =
+     Json.Obj
+       [
+         ("passed", Json.Bool (Modelcheck.Conformance.passed o));
+         ("rejoins", Json.List (List.map rejoin_json o.Workload.Chaos.rejoins));
+         ("shed", int o.Workload.Chaos.shed);
+         ("degraded_ns", int o.Workload.Chaos.degraded_ns);
+       ]
+   in
+   let serving_json (p : Serving.Surface.point) =
+     Json.Obj
+       [
+         ("shards", int p.Serving.Surface.shards);
+         ("batch", int p.Serving.Surface.batch);
+         ("doorbell", int p.Serving.Surface.doorbell);
+         ("offered_per_us", Json.Num p.Serving.Surface.offered_per_us);
+         ("committed_per_us", Json.Num p.Serving.Surface.committed_per_us);
+         ("shed", int p.Serving.Surface.shed);
+         ("suppressed", int p.Serving.Surface.suppressed);
+         ("p50_ns", int p.Serving.Surface.p50_ns);
+         ("p99_ns", int p.Serving.Surface.p99_ns);
+       ]
+   in
+   (* Virtual-time alert edges: fully deterministic per seed. *)
+   let monitor_json log =
+     let alert (en : Monitor.Log.entry) =
+       Json.Obj
+         [
+           ("at", int en.at);
+           ("window", int en.window);
+           ("rule", Json.Str en.rule);
+           ("edge", Json.Str (match en.edge with `Fire -> "fire" | `Clear -> "clear"));
+         ]
      in
-     Buffer.add_string b
-       (Printf.sprintf
-          "{\"passed\":%b,\"rejoins\":[%s],\"shed\":%d,\"degraded_ns\":%d}"
-          (Modelcheck.Conformance.passed o) rejoins o.Workload.Chaos.shed
-          o.Workload.Chaos.degraded_ns)
-   | None -> Buffer.add_string b "null");
-   Buffer.add_string b ",\"serving\":";
-   (match !serving_points with
-   | [] -> Buffer.add_string b "null"
-   | points ->
-     let cells =
-       String.concat ","
-         (List.map
-            (fun (p : Serving.Surface.point) ->
-              Printf.sprintf
-                "{\"shards\":%d,\"batch\":%d,\"doorbell\":%d,\"offered_per_us\":%.3f,\
-                 \"committed_per_us\":%.3f,\"shed\":%d,\"suppressed\":%d,\"p50_ns\":%d,\
-                 \"p99_ns\":%d}"
-                p.Serving.Surface.shards p.Serving.Surface.batch p.Serving.Surface.doorbell
-                p.Serving.Surface.offered_per_us p.Serving.Surface.committed_per_us
-                p.Serving.Surface.shed p.Serving.Surface.suppressed p.Serving.Surface.p50_ns
-                p.Serving.Surface.p99_ns)
-            points)
+     Json.Obj
+       [
+         ("windows", int !monitor_windows);
+         ("edges", int (Monitor.Log.length log));
+         ("alerts", Json.List (List.map alert (Monitor.Log.entries log)));
+         ("firing", Json.List (List.map (fun r -> Json.Str r) (Monitor.Log.firing log)));
+       ]
+   in
+   (* Wall-clock fields are volatile — never byte-compared. *)
+   let overhead_json (s : Monitor.Overhead.sample) =
+     Json.Obj
+       [
+         ("layer", Json.Str s.layer);
+         ("ops", int s.ops);
+         ("ops_per_s", Json.Num s.ops_per_s);
+         ("minor_words_per_op", Json.Num s.minor_words_per_op);
+       ]
+   in
+   (* Wall-clock fields are volatile — never byte-compared. The recorded
+      heap baselines pin what the checks compare against. *)
+   let engine_speed_json s =
+     Json.Obj
+       [
+         ("events_per_sec", Json.Num s.es_rate);
+         ("minor_words_per_event", Json.Num s.es_words_per_event);
+         ("queue_depth", int 8192);
+         ("heap_queue_ops_per_sec", Json.Num s.es_heap_ops);
+         ("wheel_queue_ops_per_sec", Json.Num s.es_wheel_ops);
+         ( "queue_speedup",
+           Json.Num (if s.es_heap_ops > 0.0 then s.es_wheel_ops /. s.es_heap_ops else 0.0) );
+         ("heap_baseline_events_per_sec", Json.Num heap_baseline_events_per_sec);
+         ("heap_baseline_minor_words_per_event", Json.Num heap_baseline_minor_words_per_event);
+       ]
+   in
+   (* span/idle/stacks/frames are virtual-time and deterministic per seed;
+      selfcost rows are wall-clock and volatile. *)
+   let profile_json p =
+     let selfcost (r : Monitor.Overhead.Attached.row) =
+       Json.Obj
+         [
+           ("layer", Json.Str r.Monitor.Overhead.Attached.r_layer);
+           ("events", int r.Monitor.Overhead.Attached.r_events);
+           ("sampled", int r.Monitor.Overhead.Attached.r_sampled);
+           ("wall_s", Json.Num r.Monitor.Overhead.Attached.r_wall_s);
+           ("minor_words", Json.Num r.Monitor.Overhead.Attached.r_minor_words);
+         ]
      in
-     Buffer.add_string b (Printf.sprintf "{\"surface\":[%s]}" cells));
-   Buffer.add_string b ",\"monitor\":";
-   (match !monitor_log with
-   | None -> Buffer.add_string b "null"
-   | Some log ->
-     (* Virtual-time alert edges: fully deterministic per seed. *)
-     let entries =
-       String.concat ","
-         (List.map
-            (fun (en : Monitor.Log.entry) ->
-              Printf.sprintf "{\"at\":%d,\"window\":%d,\"rule\":\"%s\",\"edge\":\"%s\"}"
-                en.at en.window en.rule
-                (match en.edge with `Fire -> "fire" | `Clear -> "clear"))
-            (Monitor.Log.entries log))
-     in
-     Buffer.add_string b
-       (Printf.sprintf "{\"windows\":%d,\"edges\":%d,\"alerts\":[%s],\"firing\":[%s]}"
-          !monitor_windows (Monitor.Log.length log) entries
-          (String.concat ","
-             (List.map (fun r -> "\"" ^ r ^ "\"") (Monitor.Log.firing log)))));
-   Buffer.add_string b ",\"observability\":";
-   (match !overhead_samples with
-   | [] -> Buffer.add_string b "null"
-   | samples ->
-     (* Wall-clock fields are volatile — never byte-compared. *)
-     let rows =
-       String.concat ","
-         (List.map
-            (fun (s : Monitor.Overhead.sample) ->
-              Printf.sprintf
-                "{\"layer\":\"%s\",\"ops\":%d,\"ops_per_s\":%.0f,\
-                 \"minor_words_per_op\":%.2f}"
-                s.layer s.ops s.ops_per_s s.minor_words_per_op)
-            samples)
-     in
-     Buffer.add_string b (Printf.sprintf "{\"layers\":[%s]}" rows));
-   Buffer.add_string b ",\"engine_events_per_sec\":";
-   (match !engine_events_per_sec with
-   | Some r -> Buffer.add_string b (Printf.sprintf "%.0f" r)
-   | None -> Buffer.add_string b "null");
-   Buffer.add_string b ",\"engine_speed\":";
-   (match !engine_speed_stats with
-   | Some s ->
-     (* Wall-clock fields are volatile — never byte-compared. The
-        recorded heap baselines pin what the checks compare against. *)
-     Buffer.add_string b
-       (Printf.sprintf
-          "{\"events_per_sec\":%.0f,\"minor_words_per_event\":%.2f,\
-           \"queue_depth\":8192,\"heap_queue_ops_per_sec\":%.0f,\
-           \"wheel_queue_ops_per_sec\":%.0f,\"queue_speedup\":%.2f,\
-           \"heap_baseline_events_per_sec\":%.0f,\
-           \"heap_baseline_minor_words_per_event\":%.1f}"
-          s.es_rate s.es_words_per_event s.es_heap_ops s.es_wheel_ops
-          (if s.es_heap_ops > 0.0 then s.es_wheel_ops /. s.es_heap_ops else 0.0)
-          heap_baseline_events_per_sec heap_baseline_minor_words_per_event)
-   | None -> Buffer.add_string b "null");
-   Buffer.add_string b ",\"profile\":";
-   (match !profile_result with
-   | Some p ->
-     (* span/idle/stacks/frames are virtual-time and deterministic per
-        seed; selfcost rows are wall-clock and volatile. *)
-     let selfcost =
-       String.concat ","
-         (List.map
-            (fun (r : Monitor.Overhead.Attached.row) ->
-              Printf.sprintf
-                "{\"layer\":\"%s\",\"events\":%d,\"sampled\":%d,\"wall_s\":%.6f,\
-                 \"minor_words\":%.0f}"
-                r.Monitor.Overhead.Attached.r_layer r.Monitor.Overhead.Attached.r_events
-                r.Monitor.Overhead.Attached.r_sampled r.Monitor.Overhead.Attached.r_wall_s
-                r.Monitor.Overhead.Attached.r_minor_words)
-            p.pr_selfcost)
-     in
-     Buffer.add_string b
-       (Printf.sprintf
-          "{\"mode\":\"failover\",\"rounds\":%d,\"span_ns\":%d,\"idle_ns\":%d,\
-           \"stacks\":%d,\"frames\":%d,\"selfcost\":[%s]}"
-          p.pr_rounds p.pr_span_ns p.pr_idle_ns p.pr_stacks p.pr_frames selfcost)
-   | None -> Buffer.add_string b "null");
-   Buffer.add_string b ",\"checks\":[";
-   List.iteri
-     (fun i (name, ok, detail) ->
-       if i > 0 then Buffer.add_char b ',';
-       Buffer.add_string b
-         (Printf.sprintf "{\"name\":\"%s\",\"ok\":%b,\"detail\":\"%s\"}" name ok detail))
-     (List.rev !checks);
-   Buffer.add_string b "]";
-   let core = Buffer.contents b in
+     Json.Obj
+       [
+         ("mode", Json.Str "failover");
+         ("rounds", int p.pr_rounds);
+         ("span_ns", int p.pr_span_ns);
+         ("idle_ns", int p.pr_idle_ns);
+         ("stacks", int p.pr_stacks);
+         ("frames", int p.pr_frames);
+         ("selfcost", Json.List (List.map selfcost p.pr_selfcost));
+       ]
+   in
+   let check_json (name, ok, detail) =
+     Json.Obj [ ("name", Json.Str name); ("ok", Json.Bool ok); ("detail", Json.Str detail) ]
+   in
+   let core =
+     [
+       ("seed", Json.Num (Int64.to_float !seed));
+       ("quick", Json.Bool !quick);
+       ("figures", Json.List (List.map (fun f -> Json.Str f) (List.rev !figures_run)));
+       ("replication_latency_ns", opt samples_json !mu_samples);
+       ("failover_ns", opt failover_json !failover_result);
+       ("recovery", opt recovery_json !recovery_outcome);
+       ( "serving",
+         match !serving_points with
+         | [] -> Json.Null
+         | points -> Json.Obj [ ("surface", Json.List (List.map serving_json points)) ] );
+       ("monitor", opt monitor_json !monitor_log);
+       ( "observability",
+         match !overhead_samples with
+         | [] -> Json.Null
+         | samples -> Json.Obj [ ("layers", Json.List (List.map overhead_json samples)) ] );
+       ("engine_events_per_sec", opt (fun r -> Json.Num r) !engine_events_per_sec);
+       ("engine_speed", opt engine_speed_json !engine_speed_stats);
+       ("profile", opt profile_json !profile_result);
+       ("checks", Json.List (List.map check_json (List.rev !checks)));
+     ]
+   in
+   let schema = ("schema", Json.Str "mu-bench-results/1") in
+   let results = Json.Obj (schema :: core) in
    let oc = open_out !results_file in
-   output_string oc ("{\"schema\":\"mu-bench-results/1\"," ^ core ^ "}\n");
+   output_string oc (Json.to_string results ^ "\n");
    close_out oc;
    Fmt.pr "@.Results written to %s@." !results_file;
    (* Regression gate: diff this run against the baseline *before* the
@@ -1139,12 +1137,7 @@ let () =
       let outcome =
         match baseline with
         | Error msg -> Error (Printf.sprintf "baseline unavailable: %s" msg)
-        | Ok baseline -> (
-          match
-            Faults.Json.of_string ("{\"schema\":\"mu-bench-results/1\"," ^ core ^ "}")
-          with
-          | Error msg -> Error (Printf.sprintf "current results unparseable: %s" msg)
-          | Ok current -> Ok (Profile.Compare.run ~baseline ~current ()))
+        | Ok baseline -> Ok (Profile.Compare.run ~baseline ~current:results ())
       in
       match outcome with
       | Error msg ->
@@ -1175,9 +1168,10 @@ let () =
    | None -> ()
    | Some file ->
      let oc = open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 file in
-     output_string oc
-       (Printf.sprintf "{\"schema\":\"mu-bench-results/1\",\"rev\":%S,\"stamp\":%S,%s}\n"
-          !git_rev !stamp core);
+     let line =
+       Json.Obj (schema :: ("rev", Json.Str !git_rev) :: ("stamp", Json.Str !stamp) :: core)
+     in
+     output_string oc (Json.to_string line ^ "\n");
      close_out oc;
      Fmt.pr "History appended to %s@." file);
   Fmt.pr "@.done.@.";

@@ -1242,7 +1242,7 @@ let profile_cmd =
    mu-bench-results/1 file — the bench records them but the dashboard
    never showed them. *)
 let render_results_sections file =
-  let module J = Faults.Json in
+  let module J = Json in
   match Profile.Compare.load_results file with
   | Error msg ->
     Fmt.epr "%s@." msg;

@@ -1,7 +1,8 @@
-(* A minimal JSON codec — just enough for fault scenarios and repro
-   files. Hand-written because the repo deliberately carries no external
-   JSON dependency (the trace and telemetry exporters print JSON by hand
-   for the same reason). Printing is deterministic: object fields stay in
+(* The repo's one JSON codec: every exported document (traces, telemetry,
+   alert logs, span trees, profiles, bench results, scenarios, repros) is
+   printed through it and every document read back is parsed by it.
+   Hand-written because the repo deliberately carries no external JSON
+   dependency. Printing is deterministic: object fields stay in
    construction order and number formatting is stable, so equal values
    yield byte-identical documents. *)
 
@@ -27,7 +28,8 @@ let member key = function Obj kvs -> List.assoc_opt key kvs | _ -> None
 
 (* --- printing ----------------------------------------------------------- *)
 
-let escape buf s =
+let add_string buf s =
+  Buffer.add_char buf '"';
   String.iter
     (fun c ->
       match c with
@@ -39,21 +41,27 @@ let escape buf s =
       | c when Char.code c < 0x20 ->
         Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
       | c -> Buffer.add_char buf c)
-    s
+    s;
+  Buffer.add_char buf '"'
 
+(* Integers print without a fraction; other finite numbers print with the
+   fewest significant digits (15, 16 or 17) that read back to the same
+   float, so printing and parsing round-trip exactly. *)
 let print_num buf f =
-  if Float.is_integer f && Float.abs f <= 4.503599627370496e15 then
+  if not (Float.is_finite f) then Buffer.add_string buf "null"
+  else if Float.is_integer f && Float.abs f <= 4.503599627370496e15 then
     Buffer.add_string buf (Printf.sprintf "%.0f" f)
-  else Buffer.add_string buf (Printf.sprintf "%.12g" f)
+  else
+    let s = Printf.sprintf "%.15g" f in
+    let s = if float_of_string s = f then s else Printf.sprintf "%.16g" f in
+    let s = if float_of_string s = f then s else Printf.sprintf "%.17g" f in
+    Buffer.add_string buf s
 
 let rec print buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Num f -> print_num buf f
-  | Str s ->
-    Buffer.add_char buf '"';
-    escape buf s;
-    Buffer.add_char buf '"'
+  | Str s -> add_string buf s
   | List l ->
     Buffer.add_char buf '[';
     List.iteri
@@ -67,9 +75,8 @@ let rec print buf = function
     List.iteri
       (fun i (k, v) ->
         if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_char buf '"';
-        escape buf k;
-        Buffer.add_string buf "\":";
+        add_string buf k;
+        Buffer.add_char buf ':';
         print buf v)
       kvs;
     Buffer.add_char buf '}'
@@ -135,13 +142,19 @@ let parse_string st =
         | 'r' -> Buffer.add_char buf '\r'
         | 't' -> Buffer.add_char buf '\t'
         | 'u' ->
-          if st.pos + 4 > String.length st.s then fail st.pos "truncated \\u escape";
-          let hex = String.sub st.s st.pos 4 in
-          let code =
-            try int_of_string ("0x" ^ hex)
-            with _ -> fail st.pos "invalid \\u escape"
-          in
-          st.pos <- st.pos + 4;
+          let code = ref 0 in
+          for _ = 1 to 4 do
+            let d =
+              match peek st with
+              | Some ('0' .. '9' as h) -> Char.code h - Char.code '0'
+              | Some ('a' .. 'f' as h) -> Char.code h - Char.code 'a' + 10
+              | Some ('A' .. 'F' as h) -> Char.code h - Char.code 'A' + 10
+              | _ -> fail st.pos "invalid \\u escape"
+            in
+            code := (!code lsl 4) lor d;
+            advance st
+          done;
+          let code = !code in
           (* Encode the BMP code point as UTF-8; surrogate pairs are not
              supported (scenario names are ASCII in practice). *)
           if code < 0x80 then Buffer.add_char buf (Char.chr code)
@@ -156,6 +169,8 @@ let parse_string st =
           end
         | c -> fail (st.pos - 1) (Printf.sprintf "invalid escape %C" c));
         loop ())
+    | Some c when Char.code c < 0x20 ->
+      fail st.pos "unescaped control character in string"
     | Some c ->
       advance st;
       Buffer.add_char buf c;
@@ -164,19 +179,31 @@ let parse_string st =
   loop ();
   Buffer.contents buf
 
+(* RFC 8259: -? (0 | [1-9][0-9]* ) (. [0-9]+)? ([eE] [+-]? [0-9]+)? *)
 let parse_number st =
   let start = st.pos in
-  let is_num_char = function
-    | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-    | _ -> false
+  let digits () =
+    let from = st.pos in
+    while match peek st with Some '0' .. '9' -> true | _ -> false do
+      advance st
+    done;
+    if st.pos = from then fail st.pos "invalid number: expected a digit"
   in
-  while match peek st with Some c when is_num_char c -> true | _ -> false do
-    advance st
-  done;
-  let text = String.sub st.s start (st.pos - start) in
-  match float_of_string_opt text with
-  | Some f -> Num f
-  | None -> fail start (Printf.sprintf "invalid number %S" text)
+  if peek st = Some '-' then advance st;
+  (match peek st with
+  | Some '0' -> advance st
+  | _ -> digits ());
+  if peek st = Some '.' then begin
+    advance st;
+    digits ()
+  end;
+  (match peek st with
+  | Some ('e' | 'E') ->
+    advance st;
+    (match peek st with Some ('+' | '-') -> advance st | _ -> ());
+    digits ()
+  | _ -> ());
+  Num (float_of_string (String.sub st.s start (st.pos - start)))
 
 let rec parse_value st =
   skip_ws st;

@@ -227,14 +227,14 @@ let pp_outcome ppf o =
    replica count and the full scenario. The violation summary is carried
    for humans; replay only needs the first three. *)
 let repro_json o =
-  Faults.Json.to_string
-    (Faults.Json.Obj
+  Json.to_string
+    (Json.Obj
        [
-         ("seed", Faults.Json.Str (Int64.to_string o.seed));
-         ("n", Faults.Json.num_of_int o.n);
+         ("seed", Json.Str (Int64.to_string o.seed));
+         ("n", Json.num_of_int o.n);
          ("scenario", Faults.Scenario.to_json o.scenario);
          ( "violation",
-           Faults.Json.Str
+           Json.Str
              (match fst (judge o) with
              | Not_conformant -> "replies not conformant to the KV model"
              | Invariant_violation ->
@@ -245,9 +245,9 @@ let repro_json o =
 
 let parse_repro s =
   let ( let* ) = Result.bind in
-  let* j = Faults.Json.of_string s in
+  let* j = Json.of_string s in
   let* seed =
-    match Option.bind (Faults.Json.member "seed" j) Faults.Json.to_str with
+    match Option.bind (Json.member "seed" j) Json.to_str with
     | Some s -> (
       match Int64.of_string_opt s with
       | Some v -> Ok v
@@ -255,12 +255,12 @@ let parse_repro s =
     | None -> Error "repro: missing \"seed\""
   in
   let* n =
-    match Option.bind (Faults.Json.member "n" j) Faults.Json.to_int with
+    match Option.bind (Json.member "n" j) Json.to_int with
     | Some n -> Ok n
     | None -> Error "repro: missing \"n\""
   in
   let* scenario =
-    match Faults.Json.member "scenario" j with
+    match Json.member "scenario" j with
     | Some sj -> Faults.Scenario.of_json sj
     | None -> Error "repro: missing \"scenario\""
   in

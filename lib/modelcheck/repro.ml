@@ -6,43 +6,41 @@ let schema = "mu-verify-repro/1"
 
 let cmd_to_json = function
   | Apps.Kv_store.Get { key } ->
-    Faults.Json.Obj [ ("op", Faults.Json.Str "get"); ("key", Faults.Json.Str key) ]
+    Json.Obj [ ("op", Json.Str "get"); ("key", Json.Str key) ]
   | Apps.Kv_store.Put { key; value } ->
-    Faults.Json.Obj
+    Json.Obj
       [
-        ("op", Faults.Json.Str "put");
-        ("key", Faults.Json.Str key);
-        ("value", Faults.Json.Str value);
+        ("op", Json.Str "put");
+        ("key", Json.Str key);
+        ("value", Json.Str value);
       ]
   | Apps.Kv_store.Delete { key } ->
-    Faults.Json.Obj
-      [ ("op", Faults.Json.Str "delete"); ("key", Faults.Json.Str key) ]
+    Json.Obj [ ("op", Json.Str "delete"); ("key", Json.Str key) ]
 
 let op_to_json (op : Workload.Chaos.scripted_op) =
-  Faults.Json.Obj
+  Json.Obj
     [
-      ("think", Faults.Json.num_of_int op.s_think);
-      ("req", Faults.Json.num_of_int op.s_req);
+      ("think", Json.num_of_int op.s_think);
+      ("req", Json.num_of_int op.s_req);
       ("cmd", cmd_to_json op.s_cmd);
     ]
 
 let to_string b =
   let t = b.b_triple in
-  Faults.Json.to_string
-    (Faults.Json.Obj
+  Json.to_string
+    (Json.Obj
        [
-         ("schema", Faults.Json.Str schema);
-         ("seed", Faults.Json.Str (Int64.to_string t.Shrink.t_seed));
-         ("n", Faults.Json.num_of_int t.Shrink.t_n);
-         ("inject", Faults.Json.num_of_int t.Shrink.t_inject);
+         ("schema", Json.Str schema);
+         ("seed", Json.Str (Int64.to_string t.Shrink.t_seed));
+         ("n", Json.num_of_int t.Shrink.t_n);
+         ("inject", Json.num_of_int t.Shrink.t_inject);
          ("scenario", Faults.Scenario.to_json t.Shrink.t_scenario);
          ( "history",
-           Faults.Json.List
+           Json.List
              (List.map
-                (fun client -> Faults.Json.List (List.map op_to_json client))
+                (fun client -> Json.List (List.map op_to_json client))
                 t.Shrink.t_history) );
-         ( "verdict",
-           Faults.Json.Str (Conformance.verdict_to_string b.b_verdict) );
+         ("verdict", Json.Str (Conformance.verdict_to_string b.b_verdict));
        ])
 
 (* --- decode --------------------------------------------------------------- *)
@@ -50,26 +48,26 @@ let to_string b =
 let ( let* ) = Result.bind
 
 let field name conv j =
-  match Option.bind (Faults.Json.member name j) conv with
+  match Option.bind (Json.member name j) conv with
   | Some v -> Ok v
   | None -> Error (Printf.sprintf "repro: missing or bad %S" name)
 
 let cmd_of_json j =
-  let* key = field "key" Faults.Json.to_str j in
-  match Option.bind (Faults.Json.member "op" j) Faults.Json.to_str with
+  let* key = field "key" Json.to_str j in
+  match Option.bind (Json.member "op" j) Json.to_str with
   | Some "get" -> Ok (Apps.Kv_store.Get { key })
   | Some "delete" -> Ok (Apps.Kv_store.Delete { key })
   | Some "put" ->
-    let* value = field "value" Faults.Json.to_str j in
+    let* value = field "value" Json.to_str j in
     Ok (Apps.Kv_store.Put { key; value })
   | Some op -> Error (Printf.sprintf "repro: unknown op %S" op)
   | None -> Error "repro: missing or bad \"op\""
 
 let op_of_json j =
-  let* s_think = field "think" Faults.Json.to_int j in
-  let* s_req = field "req" Faults.Json.to_int j in
+  let* s_think = field "think" Json.to_int j in
+  let* s_req = field "req" Json.to_int j in
   let* s_cmd =
-    match Faults.Json.member "cmd" j with
+    match Json.member "cmd" j with
     | Some cj -> cmd_of_json cj
     | None -> Error "repro: missing \"cmd\""
   in
@@ -83,40 +81,40 @@ let rec map_result f = function
     Ok (y :: ys)
 
 let of_string s =
-  let* j = Faults.Json.of_string s in
+  let* j = Json.of_string s in
   let* () =
-    match Option.bind (Faults.Json.member "schema" j) Faults.Json.to_str with
+    match Option.bind (Json.member "schema" j) Json.to_str with
     | Some v when v = schema -> Ok ()
     | Some v -> Error (Printf.sprintf "repro: unknown schema %S" v)
     | None -> Error "repro: missing \"schema\""
   in
   let* seed =
-    let* s = field "seed" Faults.Json.to_str j in
+    let* s = field "seed" Json.to_str j in
     match Int64.of_string_opt s with
     | Some v -> Ok v
     | None -> Error (Printf.sprintf "repro: bad seed %S" s)
   in
-  let* n = field "n" Faults.Json.to_int j in
-  let* inject = field "inject" Faults.Json.to_int j in
+  let* n = field "n" Json.to_int j in
+  let* inject = field "inject" Json.to_int j in
   let* scenario =
-    match Faults.Json.member "scenario" j with
+    match Json.member "scenario" j with
     | Some sj -> Faults.Scenario.of_json sj
     | None -> Error "repro: missing \"scenario\""
   in
   let* () = Faults.Scenario.validate ~n scenario in
   let* history =
-    match Option.bind (Faults.Json.member "history" j) Faults.Json.to_list with
+    match Option.bind (Json.member "history" j) Json.to_list with
     | Some clients ->
       map_result
         (fun cj ->
-          match Faults.Json.to_list cj with
+          match Json.to_list cj with
           | Some ops -> map_result op_of_json ops
           | None -> Error "repro: history client is not a list")
         clients
     | None -> Error "repro: missing or bad \"history\""
   in
   let* b_verdict =
-    let* v = field "verdict" Faults.Json.to_str j in
+    let* v = field "verdict" Json.to_str j in
     match Conformance.verdict_of_string v with
     | Some v -> Ok v
     | None -> Error (Printf.sprintf "repro: unknown verdict %S" v)

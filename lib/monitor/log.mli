@@ -2,7 +2,7 @@
 
     Each entry carries the virtual time, sampler epoch and window
     ordinal of the transition, so alerts line up against traces and
-    sampler series. {!to_json} is hand-built and byte-stable — CI
+    sampler series. {!to_json} is printed by [Json] and byte-stable — CI
     compares same-seed runs with [cmp]. *)
 
 type entry = {

@@ -36,7 +36,7 @@ type result = {
 }
 
 val run :
-  ?rules:rule list -> baseline:Faults.Json.t -> current:Faults.Json.t -> unit -> result
+  ?rules:rule list -> baseline:Json.t -> current:Json.t -> unit -> result
 
 val regressed : result -> bool
 (** True iff comparable and some field regressed or some check broke. *)
@@ -45,8 +45,8 @@ val pp_field : field Fmt.t
 val pp : result Fmt.t
 val to_string : result -> string
 
-val load_results : string -> (Faults.Json.t, string) Stdlib.result
+val load_results : string -> (Json.t, string) Stdlib.result
 (** Parse a whole results file as one JSON document. *)
 
-val load_last_history : string -> (Faults.Json.t, string) Stdlib.result
+val load_last_history : string -> (Json.t, string) Stdlib.result
 (** Parse the last non-empty line of a JSONL history file. *)

@@ -5,72 +5,53 @@
 
    Determinism rules match Trace.Chrome: integer virtual-ns timestamps (the
    JSON document) or fixed-point µs via Chrome.fixed_ts (trace events),
-   strings escaped by Chrome.json_string, spans in ascending id, edges and
-   points in stream order. Same seed => byte-identical output. *)
+   strings escaped by Json, spans in ascending id, edges and points in
+   stream order. Same seed => byte-identical output. *)
 
-let add_args b args =
-  Stdlib.Buffer.add_char b '{';
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Stdlib.Buffer.add_char b ',';
-      Stdlib.Buffer.add_string b (Trace.Chrome.json_string k);
-      Stdlib.Buffer.add_char b ':';
-      Stdlib.Buffer.add_string b (Trace.Chrome.json_string v))
-    args;
-  Stdlib.Buffer.add_char b '}'
+let args_json args = Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) args)
+let int = Json.num_of_int
 
-let add_span b (s : Tree.span) =
-  Stdlib.Buffer.add_string b
-    (Printf.sprintf "{\"id\":%d,\"parent\":%d,\"name\":%s,\"pid\":%d,\"tid\":%d" s.Tree.id
-       s.Tree.parent
-       (Trace.Chrome.json_string s.Tree.name)
-       s.Tree.pid s.Tree.tid);
-  Stdlib.Buffer.add_string b
-    (Printf.sprintf ",\"start\":%d,\"end\":%d,\"sync\":%b,\"args\":" s.Tree.start s.Tree.finish
-       s.Tree.sync);
-  add_args b s.Tree.args;
-  Stdlib.Buffer.add_string b ",\"end_args\":";
-  add_args b s.Tree.end_args;
-  Stdlib.Buffer.add_string b ",\"children\":[";
-  List.iteri
-    (fun i c ->
-      if i > 0 then Stdlib.Buffer.add_char b ',';
-      Stdlib.Buffer.add_string b (string_of_int c))
-    s.Tree.children;
-  Stdlib.Buffer.add_string b "]}"
+let span_json (s : Tree.span) =
+  Json.Obj
+    [
+      ("id", int s.Tree.id);
+      ("parent", int s.Tree.parent);
+      ("name", Json.Str s.Tree.name);
+      ("pid", int s.Tree.pid);
+      ("tid", int s.Tree.tid);
+      ("start", int s.Tree.start);
+      ("end", int s.Tree.finish);
+      ("sync", Json.Bool s.Tree.sync);
+      ("args", args_json s.Tree.args);
+      ("end_args", args_json s.Tree.end_args);
+      ("children", Json.List (List.map int s.Tree.children));
+    ]
 
 let json_string (t : Tree.t) =
-  let b = Stdlib.Buffer.create 65536 in
-  Stdlib.Buffer.add_string b "{\"schema\":\"mu-provenance/1\",\"spans\":[\n";
-  let first = ref true in
-  let sep () = if !first then first := false else Stdlib.Buffer.add_string b ",\n" in
-  Tree.fold t
-    (fun () s ->
-      sep ();
-      add_span b s)
-    ();
-  Stdlib.Buffer.add_string b "\n],\"edges\":[";
-  List.iteri
-    (fun i (e : Tree.edge) ->
-      if i > 0 then Stdlib.Buffer.add_char b ',';
-      Stdlib.Buffer.add_string b
-        (Printf.sprintf "\n{\"src\":%d,\"dst\":%d,\"kind\":%s,\"ts\":%d}" e.src e.dst
-           (Trace.Chrome.json_string e.ekind)
-           e.ets))
-    t.Tree.edges;
-  Stdlib.Buffer.add_string b "],\"points\":[";
-  List.iteri
-    (fun i (p : Tree.point) ->
-      if i > 0 then Stdlib.Buffer.add_char b ',';
-      Stdlib.Buffer.add_string b
-        (Printf.sprintf "\n{\"span\":%d,\"name\":%s,\"ts\":%d,\"pid\":%d,\"args\":" p.span
-           (Trace.Chrome.json_string p.pname)
-           p.pts p.ppid);
-      add_args b p.pargs;
-      Stdlib.Buffer.add_char b '}')
-    t.Tree.points;
-  Stdlib.Buffer.add_string b (Printf.sprintf "],\"dropped\":%d}\n" t.Tree.dropped);
-  Stdlib.Buffer.contents b
+  let edge (e : Tree.edge) =
+    Json.Obj
+      [ ("src", int e.src); ("dst", int e.dst); ("kind", Json.Str e.ekind); ("ts", int e.ets) ]
+  in
+  let point (p : Tree.point) =
+    Json.Obj
+      [
+        ("span", int p.span);
+        ("name", Json.Str p.pname);
+        ("ts", int p.pts);
+        ("pid", int p.ppid);
+        ("args", args_json p.pargs);
+      ]
+  in
+  Json.to_string
+    (Json.Obj
+       [
+         ("schema", Json.Str "mu-provenance/1");
+         ("spans", Json.List (List.map span_json (Tree.spans t)));
+         ("edges", Json.List (List.map edge t.Tree.edges));
+         ("points", Json.List (List.map point t.Tree.points));
+         ("dropped", int t.Tree.dropped);
+       ])
+  ^ "\n"
 
 let write_json path t =
   let oc = open_out_bin path in
@@ -86,23 +67,34 @@ let out_pid p = if p < 0 then Trace.Chrome.engine_pid else p
 
 let span_phase ~ph ~ts ~pid ~name ~id args =
   let b = Stdlib.Buffer.create 128 in
+  Stdlib.Buffer.add_string b "{\"name\":";
+  Json.add_string b name;
   Stdlib.Buffer.add_string b
-    (Printf.sprintf "{\"name\":%s,\"cat\":\"prov\",\"ph\":\"%s\",\"ts\":%s,\"pid\":%d,\"tid\":0,\"id\":\"0x%x\""
-       (Trace.Chrome.json_string name)
+    (Printf.sprintf ",\"cat\":\"prov\",\"ph\":\"%s\",\"ts\":%s,\"pid\":%d,\"tid\":0,\"id\":\"0x%x\""
        ph (Trace.Chrome.fixed_ts ts) (out_pid pid) id);
   if args <> [] then begin
-    Stdlib.Buffer.add_string b ",\"args\":";
-    add_args b args
+    Stdlib.Buffer.add_string b ",\"args\":{";
+    List.iteri
+      (fun i (k, v) ->
+        if i > 0 then Stdlib.Buffer.add_char b ',';
+        Json.add_string b k;
+        Stdlib.Buffer.add_char b ':';
+        Json.add_string b v)
+      args;
+    Stdlib.Buffer.add_char b '}'
   end;
   Stdlib.Buffer.add_char b '}';
   Stdlib.Buffer.contents b
 
 let flow_phase ~ph ~ts ~pid ~kind ~id =
-  Printf.sprintf
-    "{\"name\":%s,\"cat\":\"prov_edge\",\"ph\":\"%s\",\"ts\":%s,\"pid\":%d,\"tid\":0,\"id\":\"0x%x\"%s}"
-    (Trace.Chrome.json_string kind)
-    ph (Trace.Chrome.fixed_ts ts) (out_pid pid) id
-    (if ph = "f" then ",\"bp\":\"e\"" else "")
+  let b = Stdlib.Buffer.create 128 in
+  Stdlib.Buffer.add_string b "{\"name\":";
+  Json.add_string b kind;
+  Stdlib.Buffer.add_string b
+    (Printf.sprintf ",\"cat\":\"prov_edge\",\"ph\":\"%s\",\"ts\":%s,\"pid\":%d,\"tid\":0,\"id\":\"0x%x\"%s}"
+       ph (Trace.Chrome.fixed_ts ts) (out_pid pid) id
+       (if ph = "f" then ",\"bp\":\"e\"" else ""));
+  Stdlib.Buffer.contents b
 
 let trace_events (t : Tree.t) =
   let evs = ref [] in

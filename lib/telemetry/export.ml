@@ -128,96 +128,64 @@ let series_csv sampler =
 
 (* --- JSON --------------------------------------------------------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let labels_json labels = Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) labels)
+let int = Json.num_of_int
 
-let json_labels labels =
-  "{"
-  ^ String.concat ","
-      (List.map (fun (k, v) -> Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v)) labels)
-  ^ "}"
+let metric_json (m : Registry.metric) =
+  let head = [ ("name", Json.Str m.name); ("labels", labels_json m.labels) ] in
+  let body =
+    match m.kind with
+    | Registry.Counter c ->
+      [ ("kind", Json.Str "counter"); ("value", int (Registry.Counter.value c)) ]
+    | Registry.Gauge g ->
+      [ ("kind", Json.Str "gauge"); ("value", int (Registry.Gauge.value g)) ]
+    | Registry.Histogram h ->
+      let range =
+        match Hdr.min_value h, Hdr.max_value h with
+        | Some lo, Some hi -> [ ("min", int lo); ("max", int hi) ]
+        | _ -> []
+      in
+      let quantiles =
+        List.filter_map
+          (fun (q, qs) -> Option.map (fun v -> (qs, int v)) (Hdr.quantile h q))
+          quantiles
+      in
+      let buckets = ref [] in
+      Hdr.iter_buckets h (fun ~lo ~hi ~count ->
+          buckets := Json.List [ int lo; int hi; int count ] :: !buckets);
+      [ ("kind", Json.Str "histogram"); ("count", int (Hdr.count h));
+        ("sum", Json.Num (Hdr.sum h)) ]
+      @ range
+      @ [ ("quantiles", Json.Obj quantiles); ("buckets", Json.List (List.rev !buckets)) ]
+  in
+  Json.Obj (head @ body)
 
+let series_json ((m : Registry.metric), epochs) =
+  let point (ts, v) l = Json.List [ int ts; Json.Num v ] :: l in
+  let epoch (eid, pts) =
+    Json.Obj [ ("epoch", int eid); ("points", Json.List (Array.fold_right point pts [])) ]
+  in
+  Json.Obj
+    [
+      ("name", Json.Str m.name);
+      ("labels", labels_json m.labels);
+      ("epochs", Json.List (List.map epoch epochs));
+    ]
+
+(* The metrics are one [Json.t]; the series are printed one at a time,
+   because a long sampled run holds millions of points and a tree of the
+   whole document would keep every one of them live at once. *)
 let json ?sampler reg =
   let b = Buffer.create 8192 in
-  Buffer.add_string b "{\"schema\":\"mu-telemetry/1\",\"metrics\":[";
-  let first = ref true in
-  List.iter
-    (fun (m : Registry.metric) ->
-      if not !first then Buffer.add_char b ',';
-      first := false;
-      Buffer.add_string b
-        (Printf.sprintf "{\"name\":\"%s\",\"labels\":%s," (json_escape m.name)
-           (json_labels m.labels));
-      (match m.kind with
-      | Registry.Counter c ->
-        Buffer.add_string b
-          (Printf.sprintf "\"kind\":\"counter\",\"value\":%d" (Registry.Counter.value c))
-      | Registry.Gauge g ->
-        Buffer.add_string b
-          (Printf.sprintf "\"kind\":\"gauge\",\"value\":%d" (Registry.Gauge.value g))
-      | Registry.Histogram h ->
-        Buffer.add_string b
-          (Printf.sprintf "\"kind\":\"histogram\",\"count\":%d,\"sum\":%s" (Hdr.count h)
-             (num (Hdr.sum h)));
-        (match Hdr.min_value h, Hdr.max_value h with
-        | Some lo, Some hi -> Buffer.add_string b (Printf.sprintf ",\"min\":%d,\"max\":%d" lo hi)
-        | _ -> ());
-        Buffer.add_string b ",\"quantiles\":{";
-        let qfirst = ref true in
-        List.iter
-          (fun (q, qs) ->
-            match Hdr.quantile h q with
-            | Some v ->
-              if not !qfirst then Buffer.add_char b ',';
-              qfirst := false;
-              Buffer.add_string b (Printf.sprintf "\"%s\":%d" qs v)
-            | None -> ())
-          quantiles;
-        Buffer.add_string b "},\"buckets\":[";
-        let bfirst = ref true in
-        Hdr.iter_buckets h (fun ~lo ~hi ~count ->
-            if not !bfirst then Buffer.add_char b ',';
-            bfirst := false;
-            Buffer.add_string b (Printf.sprintf "[%d,%d,%d]" lo hi count));
-        Buffer.add_char b ']');
-      Buffer.add_char b '}')
-    (Registry.metrics reg);
-  Buffer.add_string b "],\"series\":[";
-  (match sampler with
-  | None -> ()
-  | Some s ->
-    let sfirst = ref true in
-    List.iter
-      (fun ((m : Registry.metric), epochs) ->
-        if not !sfirst then Buffer.add_char b ',';
-        sfirst := false;
-        Buffer.add_string b
-          (Printf.sprintf "{\"name\":\"%s\",\"labels\":%s,\"epochs\":[" (json_escape m.name)
-             (json_labels m.labels));
-        let efirst = ref true in
-        List.iter
-          (fun (eid, pts) ->
-            if not !efirst then Buffer.add_char b ',';
-            efirst := false;
-            Buffer.add_string b (Printf.sprintf "{\"epoch\":%d,\"points\":[" eid);
-            Array.iteri
-              (fun i (ts, v) ->
-                if i > 0 then Buffer.add_char b ',';
-                Buffer.add_string b (Printf.sprintf "[%d,%s]" ts (num v)))
-              pts;
-            Buffer.add_string b "]}")
-          epochs;
-        Buffer.add_string b "]}")
-      (Sampler.series s));
+  Buffer.add_string b "{\"schema\":\"mu-telemetry/1\",\"metrics\":";
+  Buffer.add_string b (Json.to_string (Json.List (List.map metric_json (Registry.metrics reg))));
+  Buffer.add_string b ",\"series\":[";
+  let series = match sampler with None -> [] | Some s -> Sampler.series s in
+  List.iteri
+    (fun i s ->
+      if i > 0 then Buffer.add_char b ',';
+      Buffer.add_string b (Json.to_string (series_json s)))
+    series;
   Buffer.add_string b "]}";
   Buffer.contents b
 

@@ -6,44 +6,30 @@
    path — and process/thread metadata is emitted in sorted order, so equal
    seeds produce byte-identical files. *)
 
-let buf_escape b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Stdlib.Buffer.add_string b "\\\""
-      | '\\' -> Stdlib.Buffer.add_string b "\\\\"
-      | '\n' -> Stdlib.Buffer.add_string b "\\n"
-      | '\r' -> Stdlib.Buffer.add_string b "\\r"
-      | '\t' -> Stdlib.Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Stdlib.Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Stdlib.Buffer.add_char b c)
-    s
-
-let add_str b s =
-  Stdlib.Buffer.add_char b '"';
-  buf_escape b s;
-  Stdlib.Buffer.add_char b '"'
-
 (* Host -1 ("no host": scheduler, experiment harness fibers) maps to a
    synthetic high pid — trace viewers dislike negative pids. *)
 let engine_pid = 65535
 let out_pid p = if p < 0 then engine_pid else p
 
-let add_ts b ns = Stdlib.Buffer.add_string b (Printf.sprintf "%d.%03d" (ns / 1000) (ns mod 1000))
+(* Also used by the provenance exporter, which renders flow and
+   nestable-async phases that have no [Probe.kind]: one timestamp format
+   (and [Json.add_string] for strings) keeps those events byte-deterministic
+   too. *)
+let fixed_ts ns = Printf.sprintf "%d.%03d" (ns / 1000) (ns mod 1000)
+let add_ts b ns = Stdlib.Buffer.add_string b (fixed_ts ns)
 
 let add_args b args =
   Stdlib.Buffer.add_string b ",\"args\":{";
   List.iteri
     (fun i (k, v) ->
       if i > 0 then Stdlib.Buffer.add_char b ',';
-      add_str b k;
+      Json.add_string b k;
       Stdlib.Buffer.add_char b ':';
       (* Numeric-looking values go out as JSON numbers so Perfetto can
          plot counters. *)
       match int_of_string_opt v with
       | Some n -> Stdlib.Buffer.add_string b (string_of_int n)
-      | None -> add_str b v)
+      | None -> Json.add_string b v)
     args;
   Stdlib.Buffer.add_char b '}'
 
@@ -60,9 +46,9 @@ let add_event b (ev : Sim.Probe.event) =
     | Sim.Probe.Meta_thread -> "M"
   in
   Stdlib.Buffer.add_string b "{\"name\":";
-  add_str b ev.name;
+  Json.add_string b ev.name;
   Stdlib.Buffer.add_string b ",\"cat\":";
-  add_str b (if ev.cat = "" then "sim" else ev.cat);
+  Json.add_string b (if ev.cat = "" then "sim" else ev.cat);
   Stdlib.Buffer.add_string b ",\"ph\":\"";
   Stdlib.Buffer.add_string b ph;
   Stdlib.Buffer.add_string b "\",\"ts\":";
@@ -84,19 +70,8 @@ let add_meta b ~name ~pid ?tid value =
   | Some tid -> Stdlib.Buffer.add_string b (Printf.sprintf ",\"tid\":%d" tid)
   | None -> ());
   Stdlib.Buffer.add_string b ",\"args\":{\"name\":";
-  add_str b value;
+  Json.add_string b value;
   Stdlib.Buffer.add_string b "}}"
-
-(* Helpers for building raw trace events outside this module (the
-   provenance exporter renders flow and nestable-async phases that have no
-   [Probe.kind]); using these keeps escaping and timestamp formatting — and
-   hence byte-determinism — in one place. *)
-let json_string s =
-  let b = Stdlib.Buffer.create (String.length s + 2) in
-  add_str b s;
-  Stdlib.Buffer.contents b
-
-let fixed_ts ns = Printf.sprintf "%d.%03d" (ns / 1000) (ns mod 1000)
 
 let to_buffer b ?(extra = []) ~processes ~threads events =
   Stdlib.Buffer.add_string b "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n";

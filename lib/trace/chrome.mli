@@ -15,9 +15,6 @@
 val engine_pid : int
 (** Synthetic pid (65535) that hostless events are exported under. *)
 
-val json_string : string -> string
-(** Escape and quote a string exactly as the event path does. *)
-
 val fixed_ts : int -> string
 (** Virtual ns as fixed-point µs ("%d.%03d"), the only timestamp format
     this exporter emits. *)
@@ -25,8 +22,8 @@ val fixed_ts : int -> string
 (** [extra] is a list of pre-rendered JSON event objects appended verbatim
     after the probe events — the provenance exporter uses it for flow and
     nestable-async phases that have no {!Sim.Probe.kind}. Callers are
-    responsible for rendering them with {!json_string}/{!fixed_ts} so the
-    file stays byte-deterministic. *)
+    responsible for rendering them with [Json.add_string] (the escaper the
+    event path uses) and {!fixed_ts} so the file stays byte-deterministic. *)
 
 val to_buffer :
   Stdlib.Buffer.t ->
