@@ -642,6 +642,24 @@ let observability () =
   Fmt.pr "  check: disabled hooks lean (%.1f words/op < 128): %s@."
     baseline.Monitor.Overhead.minor_words_per_op
     (if ok_alloc then "OK" else "FAIL");
+  (* Telemetry is a counting engine observer: it must not allocate per
+     event, so the schedule-time profiler wrap and span allocation stay
+     off for it and its row costs what the baseline row costs. *)
+  let telemetry =
+    List.find (fun (s : Monitor.Overhead.sample) -> s.layer = "telemetry") samples
+  in
+  let ok_tel =
+    telemetry.Monitor.Overhead.minor_words_per_op
+    <= baseline.Monitor.Overhead.minor_words_per_op +. 0.5
+  in
+  record_check "observability_telemetry_no_alloc" ok_tel
+    (Printf.sprintf "telemetry %.1f minor words/op (baseline %.1f + 0.5)"
+       telemetry.Monitor.Overhead.minor_words_per_op
+       baseline.Monitor.Overhead.minor_words_per_op);
+  Fmt.pr "  check: telemetry allocates no more than baseline (%.1f <= %.1f + 0.5): %s@."
+    telemetry.Monitor.Overhead.minor_words_per_op
+    baseline.Monitor.Overhead.minor_words_per_op
+    (if ok_tel then "OK" else "FAIL");
   (* Generous wall-clock floor: catches order-of-magnitude regressions
      only, never flakes on a loaded CI box. *)
   let ok_rate = baseline.Monitor.Overhead.ops_per_s > 20_000.0 in

@@ -25,10 +25,6 @@ type t = {
   mutable windows : int;
   mutable notify : (Log.entry -> unit) option;
   mutable on_window : (Slo.window -> Rules.t list -> unit) option;
-  (* Self-cost hook: when set, every window evaluation runs through
-     this wrapper so the profile plane can attribute its wall-clock and
-     allocation to the monitor layer. *)
-  mutable prof : ((unit -> unit) -> unit) option;
 }
 
 let attach ?window_ns ?rules:specs engine sampler =
@@ -49,7 +45,6 @@ let attach ?window_ns ?rules:specs engine sampler =
       windows = 0;
       notify = None;
       on_window = None;
-      prof = None;
     }
   in
   let close_window ~now ~epoch samples =
@@ -82,9 +77,7 @@ let attach ?window_ns ?rules:specs engine sampler =
       (* A shared sampler keeps ticking for engines built after this
          one; windows of a foreign epoch belong to a different run. *)
       if epoch = t.epoch && now - t.win_start >= t.window_ns then
-        match t.prof with
-        | None -> close_window ~now ~epoch samples
-        | Some wrap -> wrap (fun () -> close_window ~now ~epoch samples));
+        close_window ~now ~epoch samples);
   t
 
 let log t = t.log
@@ -93,7 +86,5 @@ let windows t = t.windows
 let window_ns t = t.window_ns
 let on_alert t f = t.notify <- Some f
 let on_window t f = t.on_window <- Some f
-let set_profile t wrap = t.prof <- Some wrap
-let clear_profile t = t.prof <- None
 
 let firing t = Log.firing t.log

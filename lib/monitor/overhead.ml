@@ -93,13 +93,12 @@ let pp ppf samples = Fmt.pf ppf "@[<v>%a@]" (Fmt.list pp_sample) samples
 
    The synthetic table above answers "what does a layer cost in
    isolation"; [Attached] answers "what did the layers cost in *this*
-   run". It interposes on the seams the layers already expose — the
-   probe sink (trace + provenance events), the sampler tick
-   (telemetry), the online window evaluation (monitor), the engine's
-   queue selfcost hook — and stride-samples wall-clock and minor-word
-   deltas through each. Everything here is wall-clock and therefore
-   volatile: report it, never byte-compare it. The virtual clock never
-   sees any of it, so attaching cannot change the simulation. *)
+   run". It interposes on two engine seams — the probe sink (trace +
+   provenance events) and the queue selfcost hook — and stride-samples
+   wall-clock and minor-word deltas through each. Everything here is
+   wall-clock and therefore volatile: report it, never byte-compare it.
+   The virtual clock never sees any of it, so attaching cannot change
+   the simulation. *)
 
 module Attached = struct
   type acc = {
@@ -117,9 +116,7 @@ module Attached = struct
     wall_bias : float; (* wall seconds one empty measurement costs *)
     trace : acc;
     prov : acc;
-    tel : acc;
-    mon : acc;
-    mutable queue : Sim.Engine.selfcost option;
+    queue : Sim.Engine.selfcost; (* shared by every attached engine *)
     mutable run_wall : float;
     mutable run_words : float;
   }
@@ -154,9 +151,7 @@ module Attached = struct
       wall_bias;
       trace = fresh_acc stride;
       prov = fresh_acc stride;
-      tel = fresh_acc stride;
-      mon = fresh_acc stride;
-      queue = None;
+      queue = Sim.Engine.selfcost_create ~stride ~clock ();
       run_wall = 0.0;
       run_words = 0.0;
     }
@@ -176,9 +171,7 @@ module Attached = struct
     end
 
   let attach t e =
-    let sc = Sim.Engine.selfcost_create ~stride:t.stride ~clock:t.clock () in
-    t.queue <- Some sc;
-    Sim.Engine.set_selfcost e sc;
+    Sim.Engine.set_selfcost e t.queue;
     (* Trace vs provenance split rides the existing sink: provenance
        events are cat="prov" instants by construction (DESIGN §13). *)
     match Sim.Probe.sink (Sim.Engine.probe e) with
@@ -187,11 +180,6 @@ module Attached = struct
       Sim.Probe.set_sink (Sim.Engine.probe e) (fun ev ->
           let acc = if ev.Sim.Probe.cat = "prov" then t.prov else t.trace in
           measure t acc (fun () -> f ev))
-
-  let attach_sampler t sampler =
-    Telemetry.Sampler.set_profile sampler (fun body -> measure t t.tel body)
-
-  let attach_online t online = Online.set_profile online (fun body -> measure t t.mon body)
 
   let measure_run t f =
     let w0 = Gc.minor_words () in
@@ -217,9 +205,7 @@ module Attached = struct
     end
 
   let report t =
-    let qops, qsampled, qwall =
-      match t.queue with Some sc -> Sim.Engine.selfcost_queue sc | None -> (0, 0, 0.0)
-    in
+    let qops, qsampled, qwall = Sim.Engine.selfcost_queue t.queue in
     let qwall_x =
       if qsampled = 0 then 0.0 else qwall *. float_of_int qops /. float_of_int qsampled
     in
@@ -244,8 +230,6 @@ module Attached = struct
         };
         layer "trace" t.trace;
         layer "provenance" t.prov;
-        layer "telemetry_sampler" t.tel;
-        layer "monitor" t.mon;
       ]
     in
     let acc_wall = List.fold_left (fun a r -> a +. r.r_wall_s) 0.0 rows in

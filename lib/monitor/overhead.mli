@@ -36,9 +36,8 @@ val pp : sample list Fmt.t
 
 (** Run-attached self-cost sampling: per-subsystem wall-clock and
     [Gc.minor_words] attribution for a {e real} run, not the synthetic
-    workload above. Interposes on the seams the observability layers
-    already expose (probe sink, sampler tick, online window, engine
-    queue hook) with stride sampling. All numbers are wall-clock and
+    workload above. Interposes on two engine seams (the probe sink and
+    the queue selfcost hook) with stride sampling. All numbers are wall-clock and
     volatile — report them, never byte-compare them; the virtual clock
     never observes any of it. *)
 module Attached : sig
@@ -50,16 +49,11 @@ module Attached : sig
       the measurement's own allocation happens here. *)
 
   val attach : t -> Sim.Engine.t -> unit
-  (** Hook the engine's queue selfcost and wrap its probe sink (if one
-      is installed — attach {e after} the tracer). Trace and provenance
-      cost split on the event category (provenance events are
-      [cat="prov"]). *)
-
-  val attach_sampler : t -> Telemetry.Sampler.t -> unit
-  (** Attribute sampler ticks to the telemetry layer. *)
-
-  val attach_online : t -> Online.t -> unit
-  (** Attribute window evaluations to the monitor layer. *)
+  (** Account the engine's queue ops to this sampler's one selfcost
+      (shared by every engine it is attached to) and wrap its probe
+      sink (if one is installed — attach {e after} the tracer). Trace
+      and provenance cost split on the event category (provenance
+      events are [cat="prov"]). *)
 
   val measure_run : t -> (unit -> 'a) -> 'a
   (** Measure a whole run (wall + minor words); the report's
@@ -75,9 +69,8 @@ module Attached : sig
   }
 
   val report : t -> row list
-  (** [run_total; engine_dispatch; queue_ops; trace; provenance;
-      telemetry_sampler; monitor], wall and words extrapolated from the
-      sampled fraction to all events. *)
+  (** [run_total; engine_dispatch; queue_ops; trace; provenance], wall
+      and words extrapolated from the sampled fraction to all events. *)
 
   val pp_row : row Fmt.t
   val pp : row list Fmt.t

@@ -17,6 +17,7 @@ type key = { k_pid : int; k_tid : int; k_spans : int list (* innermost first *) 
 
 type t = {
   engine : Sim.Engine.t;
+  hook : Sim.Engine.profiler; (* this profiler's subscription on [engine] *)
   t0 : int; (* virtual time at attach *)
   mutable last : int; (* clock at the last prof_event *)
   mutable pending : int; (* interval not yet claimed *)
@@ -30,9 +31,30 @@ type t = {
 
 let attach e =
   let now = Sim.Engine.now e in
-  let t =
+  let rec t =
     {
       engine = e;
+      hook =
+        {
+          Sim.Engine.prof_event =
+            (fun ~now ->
+              t.pending <- t.pending + (now - t.last);
+              t.last <- now);
+          prof_attr =
+            (fun ~pid ~tid ~spans ->
+              if t.pending > 0 then begin
+                let k = { k_pid = pid; k_tid = tid; k_spans = spans } in
+                (match Hashtbl.find_opt t.tbl k with
+                | Some r -> r := !r + t.pending
+                | None -> Hashtbl.add t.tbl k (ref t.pending));
+                t.pending <- 0
+              end);
+          prof_fiber =
+            (fun ~tid ~pid:_ ~name ->
+              if not (Hashtbl.mem t.fibers tid) then Hashtbl.add t.fibers tid name);
+          prof_span = (fun ~id ~name -> Hashtbl.replace t.spans id name);
+          prof_host = (fun ~pid ~name -> Hashtbl.replace t.hosts pid name);
+        };
       t0 = now;
       last = now;
       pending = 0;
@@ -44,27 +66,7 @@ let attach e =
       finished = false;
     }
   in
-  Sim.Engine.set_profiler e
-    {
-      Sim.Engine.prof_event =
-        (fun ~now ->
-          t.pending <- t.pending + (now - t.last);
-          t.last <- now);
-      prof_attr =
-        (fun ~pid ~tid ~spans ->
-          if t.pending > 0 then begin
-            let k = { k_pid = pid; k_tid = tid; k_spans = spans } in
-            (match Hashtbl.find_opt t.tbl k with
-            | Some r -> r := !r + t.pending
-            | None -> Hashtbl.add t.tbl k (ref t.pending));
-            t.pending <- 0
-          end);
-      prof_fiber =
-        (fun ~tid ~pid:_ ~name ->
-          if not (Hashtbl.mem t.fibers tid) then Hashtbl.add t.fibers tid name);
-      prof_span = (fun ~id ~name -> Hashtbl.replace t.spans id name);
-      prof_host = (fun ~pid ~name -> Hashtbl.replace t.hosts pid name);
-    };
+  Sim.Engine.set_profiler e t.hook;
   t
 
 let finish t =
@@ -78,7 +80,7 @@ let finish t =
     t.last <- now;
     t.idle <- t.idle + t.pending;
     t.pending <- 0;
-    Sim.Engine.clear_profiler t.engine
+    Sim.Engine.clear_profiler t.engine t.hook
   end
 
 let span_ns t = t.last - t.t0

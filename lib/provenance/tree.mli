@@ -60,8 +60,6 @@ val spans : t -> span list
 val size : t -> int
 val fold : t -> ('a -> span -> 'a) -> 'a -> 'a
 val points_of : t -> int -> point list
-val edges_from : t -> int -> edge list
-val edges_to : t -> int -> edge list
 
 val arg : (string * string) list -> string -> string option
 val int_arg : (string * string) list -> string -> int option

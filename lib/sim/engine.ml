@@ -1,12 +1,14 @@
-(* Profiler hooks: the whole-run virtual-time profiler (lib/profile)
-   registers one of these. The engine attributes the interval between
-   consecutive events to the identity captured when the interval-ending
-   event was scheduled: [schedule] wraps the thunk with a closure that
-   carries (pid, fiber, open span stack), the run loop announces each
-   clock advance through [prof_event], and the wrapper claims the
-   accumulated interval through [prof_attr] before running the real
-   thunk. Everything is a single option check when no profiler is
-   attached. *)
+(* Observers: the engine's one instrumentation seam besides the probe
+   sink. Every subscriber is one of these records; the engine keeps them
+   in a list and each hook site fans out to it, one list check when
+   nobody is subscribed. Subscribers that {e attribute} (added through
+   [set_profiler]) also get the interval between consecutive events:
+   [schedule] wraps the thunk with a closure that carries (pid, fiber,
+   open span stack), the run loop announces each clock advance through
+   [prof_event], and the wrapper claims the accumulated interval through
+   [prof_attr] before running the real thunk. The field names predate
+   the list (one profiler slot) and are kept because external harnesses
+   build this record literally. *)
 type profiler = {
   prof_event : now:int -> unit;
       (* run loop: clock advanced to [now], a thunk is about to fire *)
@@ -19,11 +21,9 @@ type profiler = {
 
 (* Simulator self-cost sampling: wall-clock spent in the event queue,
    stride-sampled so a profiled run stays close to full speed. Queue
-   push/pop are allocation-free, so only wall time is measured here;
-   allocation attribution for the observability layers happens in their
-   own wrappers (Monitor.Overhead.Attached). Wall-clock never feeds the
-   virtual clock, so sampling cannot perturb the simulation — it only
-   slows it. *)
+   push/pop are allocation-free, so only wall time is measured here.
+   Wall-clock never feeds the virtual clock, so sampling cannot perturb
+   the simulation — it only slows it. *)
 type selfcost = {
   sc_clock : unit -> float;
   sc_stride : int;
@@ -60,6 +60,21 @@ let selfcost_create ?(stride = 64) ~clock () =
 
 let selfcost_queue sc = (sc.sc_queue_ops, sc.sc_queue_sampled, sc.sc_queue_wall)
 
+(* Count one queue op; [true] when it is the one in [sc_stride] to time. *)
+let sc_due sc =
+  sc.sc_queue_ops <- sc.sc_queue_ops + 1;
+  sc.sc_arm <- sc.sc_arm - 1;
+  if sc.sc_arm > 0 then false
+  else begin
+    sc.sc_arm <- sc.sc_stride;
+    true
+  end
+
+(* Charge the wall time since [c0], less the calibrated clock cost. *)
+let sc_charge sc c0 =
+  sc.sc_queue_wall <- sc.sc_queue_wall +. Float.max 0.0 (sc.sc_clock () -. c0 -. sc.sc_bias);
+  sc.sc_queue_sampled <- sc.sc_queue_sampled + 1
+
 type t = {
   mutable now : int;
   mutable seq : int;
@@ -75,28 +90,18 @@ type t = {
   mutable cur_pid : int;
   (* Provenance: per-request causal spans. Off by default; every span_*
      call below is a single bool check until [set_provenance] opts in AND
-     a probe sink is installed, so fault-free runs with provenance off
-     emit byte-identical traces and consume the same PRNG stream. *)
+     a probe sink or an attributing observer is installed, so fault-free
+     runs with provenance off emit byte-identical traces and consume the
+     same PRNG stream. *)
   mutable prov : bool;
   mutable next_span : int;
   span_stacks : (int, int list ref) Hashtbl.t; (* fiber id -> open span stack *)
-  (* Telemetry: absent by default. [tel_on] is the flat-bool guard the
-     hot loop checks before touching any handle, so a metrics-off run
-     costs one load per event and allocates nothing. Handles are
-     resolved once in [set_metrics]. *)
-  mutable tel_on : bool;
   mutable reg : Telemetry.Registry.t option;
-  mutable tel_events : Telemetry.Registry.counter option;
-  mutable tel_depth : Telemetry.Registry.gauge option;
-  mutable tel_fibers : Telemetry.Registry.counter option;
-  (* Wheel-shape gauges (satellite of the profiler work): one gauge per
-     wheel level plus overflow/past heap sizes. Packed in one array so
-     the run loop updates them with plain field writes; empty when
-     metrics are off. *)
-  mutable tel_wheel : Telemetry.Registry.gauge array;
-  (* Profiler: absent by default; every hook site below is one option
-     check (no allocation) until [set_profiler] attaches one. *)
-  mutable prof : profiler option;
+  (* Observers in subscription order, and the subset that attributes
+     intervals (the only ones the schedule-time wrap and span
+     allocation are switched on for). Both empty by default. *)
+  mutable observers : profiler list;
+  mutable attributing : profiler list;
   mutable selfcost : selfcost option;
 }
 
@@ -125,13 +130,9 @@ let create ?(seed = 1L) () =
     prov = false;
     next_span = 0;
     span_stacks = Hashtbl.create 64;
-    tel_on = false;
     reg = None;
-    tel_events = None;
-    tel_depth = None;
-    tel_fibers = None;
-    tel_wheel = [||];
-    prof = None;
+    observers = [];
+    attributing = [];
     selfcost = None;
   }
 
@@ -139,47 +140,88 @@ let now t = t.now
 let rng t = t.root_rng
 let fabric t = t.fabric
 let nvm t = t.nvm
-let pending_events t = Wheel.length t.events
 
-(* Telemetry ------------------------------------------------------------ *)
+(* Observers ------------------------------------------------------------ *)
 
+let subscribe t p = t.observers <- t.observers @ [ p ]
+
+let set_profiler t p =
+  subscribe t p;
+  t.attributing <- t.attributing @ [ p ]
+
+let clear_profiler t p =
+  t.observers <- List.filter (fun q -> q != p) t.observers;
+  t.attributing <- List.filter (fun q -> q != p) t.attributing
+
+let profiled t = t.attributing <> []
+let set_selfcost t sc = t.selfcost <- Some sc
+
+(* Per-event fan-out. Direct recursion rather than [List.iter] over a
+   closure, so a notification allocates nothing; the rarer hooks (spawn,
+   span id, host name) use [List.iter] behind an emptiness check. *)
+let rec on_event obs now =
+  match obs with
+  | [] -> ()
+  | p :: r ->
+    p.prof_event ~now;
+    on_event r now
+
+let rec on_attr obs ~pid ~tid ~spans =
+  match obs with
+  | [] -> ()
+  | p :: r ->
+    p.prof_attr ~pid ~tid ~spans;
+    on_attr r ~pid ~tid ~spans
+
+(* Telemetry is a non-attributing observer: it counts events and fibers
+   and samples the queue shape on every event, but never claims an
+   interval, so it neither wraps scheduled thunks nor switches on span
+   allocation. Handles are resolved once, here. *)
 let set_metrics t reg =
-  t.tel_on <- true;
+  if t.reg <> None then invalid_arg "Engine.set_metrics: a registry is already attached";
   t.reg <- Some reg;
-  t.tel_events <-
-    Some (Telemetry.Registry.counter reg ~help:"Events executed by the engine" "sim_events_total");
-  t.tel_depth <-
-    Some (Telemetry.Registry.gauge reg ~help:"Pending events in the queue" "sim_event_queue_depth");
-  t.tel_fibers <-
-    Some (Telemetry.Registry.counter reg ~help:"Fibers spawned" "sim_fibers_spawned_total");
-  t.tel_wheel <-
-    Array.init 6 (fun i ->
-        if i < 4 then
-          Telemetry.Registry.gauge reg ~help:"Events stored at this wheel level"
-            ~labels:[ ("level", string_of_int i) ]
-            "sim_wheel_level_events"
-        else if i = 4 then
-          Telemetry.Registry.gauge reg ~help:"Events beyond the wheel horizon"
-            "sim_wheel_overflow_events"
-        else
-          Telemetry.Registry.gauge reg ~help:"Events behind the wheel clock"
-            "sim_wheel_past_events")
+  let module R = Telemetry.Registry in
+  let events = R.counter reg ~help:"Events executed by the engine" "sim_events_total" in
+  let depth = R.gauge reg ~help:"Pending events in the queue" "sim_event_queue_depth" in
+  let fibers = R.counter reg ~help:"Fibers spawned" "sim_fibers_spawned_total" in
+  let level i =
+    R.gauge reg ~help:"Events stored at this wheel level"
+      ~labels:[ ("level", string_of_int i) ]
+      "sim_wheel_level_events"
+  in
+  let l0 = level 0 in
+  let l1 = level 1 in
+  let l2 = level 2 in
+  let l3 = level 3 in
+  let overflow =
+    R.gauge reg ~help:"Events beyond the wheel horizon" "sim_wheel_overflow_events"
+  in
+  let past = R.gauge reg ~help:"Events behind the wheel clock" "sim_wheel_past_events" in
+  let q = t.events in
+  subscribe t
+    {
+      prof_event =
+        (fun ~now:_ ->
+          R.Counter.inc events;
+          R.Gauge.set depth (Wheel.length q);
+          R.Gauge.set l0 (Wheel.level_events q 0);
+          R.Gauge.set l1 (Wheel.level_events q 1);
+          R.Gauge.set l2 (Wheel.level_events q 2);
+          R.Gauge.set l3 (Wheel.level_events q 3);
+          R.Gauge.set overflow (Wheel.overflow_size q);
+          R.Gauge.set past (Wheel.past_size q));
+      prof_attr = (fun ~pid:_ ~tid:_ ~spans:_ -> ());
+      prof_fiber = (fun ~tid:_ ~pid:_ ~name:_ -> R.Counter.inc fibers);
+      prof_span = (fun ~id:_ ~name:_ -> ());
+      prof_host = (fun ~pid:_ ~name:_ -> ());
+    }
 
 let metrics t = t.reg
-
-(* Profiler ------------------------------------------------------------- *)
-
-let set_profiler t p = t.prof <- Some p
-let clear_profiler t = t.prof <- None
-let profiled t = match t.prof with Some _ -> true | None -> false
-let set_selfcost t sc = t.selfcost <- Some sc
-let clear_selfcost t = t.selfcost <- None
 
 (* Tracing ------------------------------------------------------------- *)
 
 let probe t = t.probe
 let traced t = Probe.enabled t.probe
-let current_fiber t = t.cur_fiber
 
 let emit t ~kind ?(cat = "sim") ?pid ?tid ?(id = 0) ?(args = []) name =
   match Probe.sink t.probe with
@@ -220,7 +262,9 @@ let trace_counter t ?cat ?pid name ~value =
     emit t ~kind:Probe.Counter ?cat ?pid ~args:[ ("value", string_of_int value) ] name
 
 let trace_meta_process t ~pid name =
-  (match t.prof with Some p -> p.prof_host ~pid ~name | None -> ());
+  (match t.observers with
+  | [] -> ()
+  | obs -> List.iter (fun p -> p.prof_host ~pid ~name) obs);
   emit t ~kind:Probe.Meta_process ~pid ~tid:0 name
 let trace_meta_thread t ~pid ~tid name = emit t ~kind:Probe.Meta_thread ~pid ~tid name
 
@@ -242,13 +286,12 @@ let trace_span t ?cat ?pid ?args name f =
 
 let set_provenance t on = t.prov <- on
 
-(* An attached profiler also consumes span stacks (they are the third
+(* An attributing observer also consumes span stacks (they are the third
    component of its attribution identity), so provenance machinery runs
    for it even with no probe sink installed — span ids are allocated in
    deterministic event order and touch no PRNG, and [emit] without a
    sink is a no-op, so this changes no trace bytes. *)
-let provenance_on t =
-  t.prov && (Probe.enabled t.probe || match t.prof with Some _ -> true | None -> false)
+let provenance_on t = t.prov && (Probe.enabled t.probe || t.attributing <> [])
 
 let span_stack t =
   match Hashtbl.find_opt t.span_stacks t.cur_fiber with
@@ -268,7 +311,9 @@ let span_open t ?pid ?parent ?(args = []) name =
   else begin
     t.next_span <- t.next_span + 1;
     let id = t.next_span in
-    (match t.prof with Some p -> p.prof_span ~id ~name | None -> ());
+    (match t.observers with
+    | [] -> ()
+    | obs -> List.iter (fun p -> p.prof_span ~id ~name) obs);
     let parent = match parent with Some p -> p | None -> current_span t in
     emit t ~kind:Probe.Instant ~cat:"prov" ?pid
       ~args:
@@ -335,34 +380,28 @@ let span_scope t ?pid ?args name f =
    schedule time is what makes exclusive times exact: virtual time
    elapses *between* events, and the interval ending at this event is
    precisely the wait this identity asked for (a sleep, an RDMA delay,
-   a timer). *)
-let[@inline never] prof_wrap t (p : profiler) thunk =
+   a timer). The subscriber list is captured with the identity, so an
+   observer subscribed later never claims an interval it did not see
+   begin. *)
+let[@inline never] prof_wrap t subs thunk =
   let pid = t.cur_pid and tid = t.cur_fiber in
   let spans =
     match Hashtbl.find_opt t.span_stacks t.cur_fiber with Some s -> !s | None -> []
   in
   fun () ->
-    p.prof_attr ~pid ~tid ~spans;
+    on_attr subs ~pid ~tid ~spans;
     thunk ()
 
 let schedule t ~at thunk =
   let at = if at < t.now then t.now else at in
   t.seq <- t.seq + 1;
-  let thunk = match t.prof with None -> thunk | Some p -> prof_wrap t p thunk in
+  let thunk = match t.attributing with [] -> thunk | subs -> prof_wrap t subs thunk in
   match t.selfcost with
-  | None -> Wheel.push t.events ~key:at ~seq:t.seq thunk
-  | Some sc ->
-    sc.sc_queue_ops <- sc.sc_queue_ops + 1;
-    sc.sc_arm <- sc.sc_arm - 1;
-    if sc.sc_arm > 0 then Wheel.push t.events ~key:at ~seq:t.seq thunk
-    else begin
-      sc.sc_arm <- sc.sc_stride;
-      let c0 = sc.sc_clock () in
-      Wheel.push t.events ~key:at ~seq:t.seq thunk;
-      sc.sc_queue_wall <-
-        sc.sc_queue_wall +. Float.max 0.0 (sc.sc_clock () -. c0 -. sc.sc_bias);
-      sc.sc_queue_sampled <- sc.sc_queue_sampled + 1
-    end
+  | Some sc when sc_due sc ->
+    let c0 = sc.sc_clock () in
+    Wheel.push t.events ~key:at ~seq:t.seq thunk;
+    sc_charge sc c0
+  | _ -> Wheel.push t.events ~key:at ~seq:t.seq thunk
 
 let schedule_after t delay thunk = schedule t ~at:(t.now + delay) thunk
 let halt t = t.halted <- true
@@ -377,10 +416,10 @@ let suspend register = Effect.perform (Suspend register)
 
 let spawn t ?(name = "fiber") ?(pid = -1) f =
   t.next_fiber <- t.next_fiber + 1;
-  if t.tel_on then
-    (match t.tel_fibers with Some c -> Telemetry.Registry.Counter.inc c | None -> ());
   let fid = t.next_fiber in
-  (match t.prof with Some p -> p.prof_fiber ~tid:fid ~pid ~name | None -> ());
+  (match t.observers with
+  | [] -> ()
+  | obs -> List.iter (fun p -> p.prof_fiber ~tid:fid ~pid ~name) obs);
   if traced t then begin
     trace_meta_thread t ~pid ~tid:fid name;
     trace_instant t ~pid ~tid:fid ~args:[ ("name", name) ] "fiber_spawn"
@@ -473,40 +512,15 @@ let run ?until t =
       else begin
         let thunk =
           match t.selfcost with
-          | None -> Wheel.pop_exn t.events
-          | Some sc ->
-            sc.sc_queue_ops <- sc.sc_queue_ops + 1;
-            sc.sc_arm <- sc.sc_arm - 1;
-            if sc.sc_arm > 0 then Wheel.pop_exn t.events
-            else begin
-              sc.sc_arm <- sc.sc_stride;
-              let c0 = sc.sc_clock () in
-              let th = Wheel.pop_exn t.events in
-              sc.sc_queue_wall <-
-                sc.sc_queue_wall +. Float.max 0.0 (sc.sc_clock () -. c0 -. sc.sc_bias);
-              sc.sc_queue_sampled <- sc.sc_queue_sampled + 1;
-              th
-            end
+          | Some sc when sc_due sc ->
+            let c0 = sc.sc_clock () in
+            let th = Wheel.pop_exn t.events in
+            sc_charge sc c0;
+            th
+          | _ -> Wheel.pop_exn t.events
         in
         t.now <- at;
-        if t.tel_on then begin
-          (match t.tel_events with
-          | Some c -> Telemetry.Registry.Counter.inc c
-          | None -> ());
-          (match t.tel_depth with
-          | Some g -> Telemetry.Registry.Gauge.set g (Wheel.length t.events)
-          | None -> ());
-          let ws = t.tel_wheel in
-          if Array.length ws = 6 then begin
-            Telemetry.Registry.Gauge.set ws.(0) (Wheel.level_events t.events 0);
-            Telemetry.Registry.Gauge.set ws.(1) (Wheel.level_events t.events 1);
-            Telemetry.Registry.Gauge.set ws.(2) (Wheel.level_events t.events 2);
-            Telemetry.Registry.Gauge.set ws.(3) (Wheel.level_events t.events 3);
-            Telemetry.Registry.Gauge.set ws.(4) (Wheel.overflow_size t.events);
-            Telemetry.Registry.Gauge.set ws.(5) (Wheel.past_size t.events)
-          end
-        end;
-        (match t.prof with Some p -> p.prof_event ~now:at | None -> ());
+        on_event t.observers at;
         thunk ();
         loop ()
       end

@@ -57,30 +57,47 @@ val run : ?until:int -> t -> unit
 val halt : t -> unit
 (** Stop {!run} after the current event. *)
 
-val pending_events : t -> int
+(** {1 Observers}
 
-(** {1 Profiling}
+    Besides the probe sink (see {e Tracing}), the engine has one
+    instrumentation seam: a list of {!profiler} records, called
+    {e observers}. Every observer sees each clock advance, fiber spawn,
+    provenance span id and host name, in subscription order. The list is
+    empty by default, and then every hook site is one list check that
+    allocates nothing. Observing never touches any PRNG and emits no
+    probe events, so an observed run's event order, trace bytes and PRNG
+    streams are byte-identical to the unobserved run.
 
-    Whole-run virtual-time attribution, consumed by the [profile]
-    library. The engine attributes the interval between consecutive
-    events to the identity that {e scheduled} the interval-ending event
-    — (host pid, fiber id, open provenance-span stack) captured inside
-    {!schedule} — so per-identity exclusive times sum exactly to the
-    run's span. With no profiler attached every hook site is a single
-    option check and allocates nothing; with one attached, each
-    scheduled event carries one extra closure. Attaching a profiler
-    never touches any PRNG and emits no probe events, so a profiled
-    run's event order, trace bytes and PRNG streams are byte-identical
-    to the unprofiled run. *)
+    There are two kinds of observer:
+    - {e attributing} observers, added with {!set_profiler}, also claim
+      intervals. The engine attributes the interval between consecutive
+      events to the identity that {e scheduled} the interval-ending
+      event — (host pid, fiber id, open provenance-span stack) captured
+      inside {!schedule} — so per-identity exclusive times sum exactly to
+      the run's span. While one is attached, each scheduled event carries
+      one extra closure, and provenance span ids are allocated even with
+      no probe sink (see {!provenance_on}). The [profile] library's
+      virtual-time profiler is one.
+    - {e counting} observers never claim an interval, so they wrap no
+      thunk and switch on no span allocation. Telemetry ({!set_metrics})
+      is the one the engine builds itself.
+
+    The record type and its field names date from when the engine had a
+    single profiler slot. They stay as they are because benchmark
+    harnesses outside the library build the record literally and call
+    {!set_profiler}, {!set_selfcost} and {!selfcost_queue}. *)
 
 type profiler = {
   prof_event : now:int -> unit;
       (** The run loop advanced the clock to [now]; a thunk fires next.
-          Accumulate [now - last] as the pending interval. *)
+          An attributing observer accumulates [now - last] as the
+          pending interval. *)
   prof_attr : pid:int -> tid:int -> spans:int list -> unit;
       (** Claim the pending interval for this scheduling identity.
           [spans] is innermost-first. Called by the scheduled thunk's
-          wrapper, after {!prof_event} for the same instant. *)
+          wrapper, after {!prof_event} for the same instant, on the
+          attributing observers that were subscribed when the thunk was
+          scheduled. *)
   prof_fiber : tid:int -> pid:int -> name:string -> unit;
       (** A fiber was spawned (names the [tid]). *)
   prof_span : id:int -> name:string -> unit;
@@ -90,14 +107,18 @@ type profiler = {
 }
 
 val set_profiler : t -> profiler -> unit
-(** Attach a profiler. Attach before scheduling any work: events already
-    queued are not wrapped, and their intervals fall into the
-    profiler's idle bucket rather than a fiber's. *)
+(** Subscribe an attributing observer, after those already subscribed.
+    Subscribe before scheduling any work: events already queued are not
+    wrapped for it, and their intervals fall into its idle bucket rather
+    than a fiber's. *)
 
-val clear_profiler : t -> unit
+val clear_profiler : t -> profiler -> unit
+(** Unsubscribe exactly this record (physical equality); every other
+    observer stays. Events already wrapped for it still call its
+    [prof_attr] when they fire. *)
 
 val profiled : t -> bool
-(** [true] iff a profiler is attached. *)
+(** [true] iff an attributing observer is subscribed. *)
 
 type selfcost
 (** Stride-sampled wall-clock accounting of the engine's own event
@@ -109,7 +130,8 @@ val selfcost_create : ?stride:int -> clock:(unit -> float) -> unit -> selfcost
 (** [stride] (default 64): measure one queue op in [stride]. *)
 
 val set_selfcost : t -> selfcost -> unit
-val clear_selfcost : t -> unit
+(** Account this engine's queue ops to [selfcost]. One accumulator may
+    serve several engines in sequence. *)
 
 val selfcost_queue : selfcost -> int * int * float
 (** [(ops, sampled, wall_s)]: total queue ops, ops measured, and wall
@@ -120,12 +142,15 @@ val selfcost_queue : selfcost -> int * int * float
 
     Like tracing, telemetry is opt-in: with no registry attached every
     instrumented site in the engine (and in components that consult
-    {!metrics} at creation time) costs a single option check. *)
+    {!metrics} at creation time) costs a single check. *)
 
 val set_metrics : t -> Telemetry.Registry.t -> unit
 (** Attach a metrics registry. The engine registers [sim_events_total],
-    [sim_event_queue_depth] and [sim_fibers_spawned_total]; components
-    created afterwards resolve their own instruments via {!metrics}. *)
+    [sim_event_queue_depth], [sim_fibers_spawned_total] and the wheel
+    gauges, and subscribes a counting observer that keeps them current;
+    components created afterwards resolve their own instruments via
+    {!metrics}. Raises [Invalid_argument] if a registry is already
+    attached. *)
 
 val metrics : t -> Telemetry.Registry.t option
 
@@ -143,9 +168,6 @@ val probe : t -> Probe.t
 val traced : t -> bool
 (** [true] iff a sink is installed. Guard argument-list construction on
     hot paths with this. *)
-
-val current_fiber : t -> int
-(** Id of the fiber whose segment is executing (0 = scheduler). *)
 
 val trace_instant :
   t -> ?cat:string -> ?pid:int -> ?tid:int -> ?args:(string * string) list -> string -> unit
@@ -191,10 +213,11 @@ val set_provenance : t -> bool -> unit
 (** Enable/disable provenance span emission. *)
 
 val provenance_on : t -> bool
-(** [true] iff provenance is enabled and a probe sink {e or a profiler}
-    is installed (the profiler consumes span stacks as part of its
-    attribution identity; with no sink the span events themselves go
-    nowhere). Guard argument construction on hot paths with this. *)
+(** [true] iff provenance is enabled and a probe sink {e or an
+    attributing observer} is installed (such an observer consumes span
+    stacks as part of its attribution identity; with no sink the span
+    events themselves go nowhere). Guard argument construction on hot
+    paths with this. *)
 
 val current_span : t -> int
 (** Innermost open {!with_span} span of the executing fiber (0 = none).

@@ -23,7 +23,6 @@ type t = { mutable sink : (event -> unit) option }
 
 let create () = { sink = None }
 let set_sink t f = t.sink <- Some f
-let clear_sink t = t.sink <- None
 let enabled t = t.sink <> None
 let emit t ev = match t.sink with None -> () | Some f -> f ev
 let sink t = t.sink

@@ -35,7 +35,6 @@ type t
 
 val create : unit -> t
 val set_sink : t -> (event -> unit) -> unit
-val clear_sink : t -> unit
 
 val enabled : t -> bool
 (** [true] iff a sink is installed. Check this before building argument

@@ -36,11 +36,6 @@ type t = {
   mutable eid : int;
   tbl : (string, series) Hashtbl.t;
   mutable subs : subscriber list; (* reverse registration order *)
-  (* Self-cost hook (the profile plane): when set, every tick body runs
-     through this wrapper so its wall-clock and allocation can be
-     attributed to the telemetry layer. One option check when unset. *)
-  mutable prof : (unit -> unit) -> unit;
-  mutable prof_on : bool;
 }
 
 let create ?(max_points_per_epoch = 65_536) reg ~interval =
@@ -48,17 +43,9 @@ let create ?(max_points_per_epoch = 65_536) reg ~interval =
   if max_points_per_epoch < 16 then
     invalid_arg "Sampler.create: max_points_per_epoch must be >= 16";
   { reg; interval; max_points = max_points_per_epoch; eid = -1; tbl = Hashtbl.create 64;
-    subs = []; prof = (fun f -> f ()); prof_on = false }
+    subs = [] }
 
 let subscribe t f = t.subs <- f :: t.subs
-
-let set_profile t wrap =
-  t.prof <- wrap;
-  t.prof_on <- true
-
-let clear_profile t =
-  t.prof <- (fun f -> f ());
-  t.prof_on <- false
 
 let registry t = t.reg
 let interval t = t.interval
@@ -100,7 +87,7 @@ let append t ep ~now v =
   ep.n <- ep.n + 1;
   if ep.n >= t.max_points then compact ep
 
-let tick_body t ~now =
+let tick t ~now =
   if t.eid < 0 then invalid_arg "Sampler.tick: no epoch started";
   (* One registry scan per tick: the (metric, value) snapshot feeds both
      the stored series and every subscriber, so window evaluators (the
@@ -132,9 +119,6 @@ let tick_body t ~now =
       if (ep.ticks - 1) mod ep.stride = 0 then append t ep ~now v)
     samples;
   List.iter (fun f -> f ~now ~epoch:t.eid samples) (List.rev t.subs)
-
-let tick t ~now =
-  if t.prof_on then t.prof (fun () -> tick_body t ~now) else tick_body t ~now
 
 let points ep = Array.init ep.n (fun i -> (ep.ts.(i), ep.vs.(i)))
 

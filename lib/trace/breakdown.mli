@@ -27,14 +27,6 @@ val find : t -> cat:string -> name:string -> Sim.Stats.Samples.t option
 val total_ns : t -> cat:string -> name:string -> int
 (** Sum of all recorded durations for the span; 0 if absent. *)
 
-val exclusive_ns : t -> cat:string -> name:string -> int
-(** Sum of exclusive (self) durations: inclusive minus time spent in
-    nested sync spans. Equal to {!total_ns} for async spans and for
-    sync spans with no children; 0 if absent. *)
-
-val exclusive_rows : t -> (string * string * int * int) list
-(** [(cat, name, exclusive_ns, total_ns)] sorted by (cat, name). *)
-
 val unmatched : t -> int
 (** End events without a matching begin (or vice versa). *)
 

@@ -3,8 +3,8 @@
     A tracer bundles a bounded {!Buffer} ring, a streaming {!Breakdown}
     accumulator, and process/thread name registries. It is installed on
     an engine with {!attach} (the sink slot of {!Sim.Engine.probe});
-    when detached or never attached, tracing costs the simulation a
-    single option check per probe call.
+    on an engine with no tracer, tracing costs the simulation a single
+    option check per probe call.
 
     One tracer may be attached to several engines in sequence (the
     workload layer builds a fresh engine per experiment); host ids are
@@ -18,7 +18,7 @@ val create : ?capacity:int -> unit -> t
     statistics, not events. *)
 
 val attach : t -> Sim.Engine.t -> unit
-val detach : Sim.Engine.t -> unit
+(** Install this tracer as the engine's probe sink. *)
 
 val events : t -> Sim.Probe.event list
 (** Events still in the ring, oldest first. *)

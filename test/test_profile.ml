@@ -47,13 +47,13 @@ let profile_deterministic () =
   let fc, _ = exports (profiled_failover 8L) in
   check "different seed changes the profile" true (fa <> fc)
 
-(* The profiler must be a pure observer: with it attached (vs not), the
-   trace bytes, the final virtual clock and the post-run PRNG state of
-   the same-seed run are all unchanged. *)
-let traced_failover ~profile seed =
+(* The same-seed traced failover, with [observe] run on every engine
+   before any work is scheduled. Returns what an observer must not
+   change: the trace bytes, the final virtual clock and the next PRNG
+   draw. *)
+let traced_failover ?(observe = fun _ -> ()) seed =
   let tr = Trace.Tracer.create ~capacity:65_536 () in
   let eng = ref None in
-  let vts = ref [] in
   let setup =
     {
       E.seed;
@@ -66,22 +66,79 @@ let traced_failover ~profile seed =
         Some
           (fun e ->
             eng := Some e;
-            if profile then vts := Vt.attach e :: !vts);
+            observe e);
     }
   in
   let (_ : E.failover_stats) = E.failover setup ~rounds:2 in
-  List.iter Vt.finish !vts;
   match !eng with
   | None -> Alcotest.fail "on_engine never called"
   | Some e ->
     (Trace.Tracer.chrome_string tr, Sim.Engine.now e, Sim.Rng.int64 (Sim.Engine.rng e))
 
+let check_unperturbed what (trace_off, now_off, draw_off) (trace_on, now_on, draw_on) =
+  check_str ("trace bytes unchanged by " ^ what) trace_off trace_on;
+  check_int ("virtual clock unchanged by " ^ what) now_off now_on;
+  check ("PRNG stream unchanged by " ^ what) true (Int64.equal draw_off draw_on)
+
+(* The profiler must be a pure observer: with it attached (vs not), the
+   trace bytes, the final virtual clock and the post-run PRNG state of
+   the same-seed run are all unchanged. *)
 let profile_off_byte_identical () =
-  let trace_off, now_off, draw_off = traced_failover ~profile:false 7L in
-  let trace_on, now_on, draw_on = traced_failover ~profile:true 7L in
-  check_str "trace bytes unchanged by profiler" trace_off trace_on;
-  check_int "virtual clock unchanged by profiler" now_off now_on;
-  check "PRNG stream unchanged by profiler" true (Int64.equal draw_off draw_on)
+  let off = traced_failover 7L in
+  let vts = ref [] in
+  let on = traced_failover ~observe:(fun e -> vts := Vt.attach e :: !vts) 7L in
+  List.iter Vt.finish !vts;
+  check_unperturbed "profiler" off on
+
+(* An observer that only counts its callbacks. *)
+let counting () =
+  let events = ref 0 and claims = ref 0 in
+  ( events,
+    claims,
+    {
+      Sim.Engine.prof_event = (fun ~now:_ -> incr events);
+      prof_attr = (fun ~pid:_ ~tid:_ ~spans:_ -> incr claims);
+      prof_fiber = (fun ~tid:_ ~pid:_ ~name:_ -> ());
+      prof_span = (fun ~id:_ ~name:_ -> ());
+      prof_host = (fun ~pid:_ ~name:_ -> ());
+    } )
+
+(* Subscribers stack: a counting observer, the profiler, a second
+   counting observer and telemetry on one engine all see the whole run.
+   Each counter sees one [prof_event] per executed event, the profiler
+   still sums exactly to the span, and the run is unperturbed. *)
+let observers_stack () =
+  let off = traced_failover 7L in
+  let events1, claims1, c1 = counting () in
+  let events2, claims2, c2 = counting () in
+  let vts = ref [] and regs = ref [] in
+  let observe e =
+    Sim.Engine.set_profiler e c1;
+    vts := Vt.attach e :: !vts;
+    Sim.Engine.set_profiler e c2;
+    let reg = Telemetry.Registry.create () in
+    Sim.Engine.set_metrics e reg;
+    regs := reg :: !regs
+  in
+  let on = traced_failover ~observe 7L in
+  List.iter Vt.finish !vts;
+  let events_total =
+    List.fold_left
+      (fun acc reg ->
+        match Telemetry.Registry.find reg "sim_events_total" with
+        | Some { Telemetry.Registry.kind = Telemetry.Registry.Counter c; _ } ->
+          acc + Telemetry.Registry.Counter.value c
+        | _ -> Alcotest.fail "sim_events_total not registered")
+      0 !regs
+  in
+  check "events were counted" true (events_total > 0);
+  check_int "first subscriber sees every event" events_total !events1;
+  check_int "second subscriber sees every event" events_total !events2;
+  check_int "both claim the same intervals" !claims1 !claims2;
+  List.iter
+    (fun vt -> check_int "profiler sum is exact" (Vt.span_ns vt) (Vt.total_ns (Vt.folded_of vt)))
+    !vts;
+  check_unperturbed "stacked observers" off on
 
 let profile_exact_sum () =
   let vts = profiled_failover 11L in
@@ -95,6 +152,39 @@ let profile_exact_sum () =
       check "idle bucket within span" true
         (Vt.idle_ns vt >= 0 && Vt.idle_ns vt <= Vt.span_ns vt))
     vts
+
+(* Export identity across commits: a 2-round seed-7 failover with a
+   metrics sampler and the profiler both attached. The telemetry JSON
+   (engine counters, wheel gauges and their series) and the folded
+   profile are pinned by their MD5s, so a change to how either plane
+   hooks the engine must reproduce both documents byte for byte. *)
+let golden name =
+  let ic = open_in_bin ("golden/" ^ name) in
+  let s = String.trim (In_channel.input_all ic) in
+  close_in ic;
+  s
+
+let observed_exports_pinned () =
+  let sampler = Telemetry.Sampler.create (Telemetry.Registry.create ()) ~interval:50_000 in
+  let vts = ref [] in
+  let setup =
+    {
+      E.seed = 7L;
+      cal = Util.default_cal;
+      trace = None;
+      metrics = Some sampler;
+      faults = None;
+      provenance = true;
+      on_engine = Some (fun e -> vts := Vt.attach e :: !vts);
+    }
+  in
+  let (_ : E.failover_stats) = E.failover setup ~rounds:2 in
+  List.iter Vt.finish !vts;
+  let md5 s = Digest.to_hex (Digest.string s) in
+  check_str "telemetry JSON digest" (golden "failover_metrics_seed7.md5")
+    (md5 (Telemetry.Export.json ~sampler (Telemetry.Sampler.registry sampler)));
+  check_str "folded profile digest" (golden "failover_folded_seed7.md5")
+    (md5 (Vt.to_folded_string (Vt.folded !vts)))
 
 (* Profiler off must add nothing to the per-event hot path: the same
    workload as the engine's resume-allocation regression test must stay
@@ -260,6 +350,9 @@ let suite =
     Alcotest.test_case "profiler attach does not perturb the run" `Quick
       profile_off_byte_identical;
     Alcotest.test_case "exclusive times sum exactly to the span" `Quick profile_exact_sum;
+    Alcotest.test_case "observers stack on one engine" `Quick observers_stack;
+    Alcotest.test_case "telemetry and folded exports pinned (golden)" `Quick
+      observed_exports_pinned;
     Alcotest.test_case "profile off allocates nothing extra" `Quick
       profile_off_zero_allocation;
     Alcotest.test_case "compare: identical results pass" `Quick compare_identical;
