@@ -7,19 +7,15 @@ type t = {
   attach : attach_mode;
   max_batch : int;
   max_outstanding : int;
-  grow_followers_grace : int;
   recycle_interval : int;
   recycle_slack : int;
   fate_sharing : bool;
   fate_sharing_stuck_after : int;
-  replayer_poll : int;
   disable_omit_prepare : bool;
   checksum_canary : bool;
   persistent_log : bool;
   durable_state : bool;
   queue_limit : int;
-  rejoin_batch : int;
-  rejoin_idle : int;
   doorbell : int;
   durable_ns : int;
 }
@@ -32,19 +28,15 @@ let default =
     attach = Standalone;
     max_batch = 1;
     max_outstanding = 1;
-    grow_followers_grace = 100_000;
     recycle_interval = 10_000_000;
     recycle_slack = 64;
     fate_sharing = false;
     fate_sharing_stuck_after = 10_000_000;
-    replayer_poll = 1_000;
     disable_omit_prepare = false;
     checksum_canary = false;
     persistent_log = false;
     durable_state = false;
     queue_limit = 0;
-    rejoin_batch = 64;
-    rejoin_idle = 20_000;
     doorbell = 1;
     durable_ns = 0;
   }
@@ -58,8 +50,6 @@ let validate t =
   if t.max_batch < 1 then invalid_arg "Config: max_batch must be >= 1";
   if t.max_outstanding < 1 then invalid_arg "Config: max_outstanding must be >= 1";
   if t.queue_limit < 0 then invalid_arg "Config: queue_limit must be >= 0";
-  if t.rejoin_batch < 1 then invalid_arg "Config: rejoin_batch must be >= 1";
-  if t.rejoin_idle < 0 then invalid_arg "Config: rejoin_idle must be >= 0";
   if t.doorbell < 1 then invalid_arg "Config: doorbell must be >= 1";
   if t.doorbell > 1 && t.doorbell > t.log_slots - (2 * t.recycle_slack) then
     invalid_arg "Config: doorbell group cannot exceed usable log window";

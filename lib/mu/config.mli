@@ -19,9 +19,6 @@ type t = {
   attach : attach_mode;
   max_batch : int;  (** Requests coalesced into one entry (§7.4). *)
   max_outstanding : int;  (** Concurrent in-flight proposes (§7.4). *)
-  grow_followers_grace : int
-      (** Extra ns the leader waits for stragglers' permission acks before
-          settling on a majority ("Growing confirmed followers", §4.2). *);
   recycle_interval : int;  (** Period of the log-recycling scan (§5.3). *)
   recycle_slack : int;  (** Slots kept free so the log is never full (§5.3). *)
   fate_sharing : bool
@@ -30,7 +27,6 @@ type t = {
           implement this; we implement it behind this flag. *);
   fate_sharing_stuck_after : int
       (** A propose in flight for longer than this is considered stuck. *);
-  replayer_poll : int;  (** Follower log-poll period when idle. *)
   disable_omit_prepare : bool;
       (** Ablation switch: run the prepare phase on every propose even
           when it could be omitted (§4.2). *)
@@ -43,23 +39,17 @@ type t = {
           durable — the extension the paper anticipates once
           RDMA-to-persistent-memory hardware ships (§1). *)
   durable_state : bool;
-      (** Back each replica's log and membership metadata with simulated
-          NVM ({!Sim.Nvm}) owned by the engine, so they survive a
-          {!Sim.Host.kill_host} and a rebooted replica restores them
-          before rejoining. Write-through by construction — the log's
-          memory region is registered over the NVM bytes — so enabling it
-          costs no extra virtual time or randomness. *)
+      (** Back each replica's log with simulated NVM ({!Sim.Nvm}) owned
+          by the engine, so it survives a {!Sim.Host.kill_host} and a
+          rebooted replica restores it before rejoining. Write-through
+          by construction — the log's memory region is registered over
+          the NVM bytes — so enabling it costs no extra virtual time or
+          randomness. *)
   queue_limit : int;
       (** Bound on the leader's parked request queue while it cannot
           commit (quorum lost): past this many queued requests, new
           submissions are answered with a retryable error instead of
           enqueued. [0] disables the bound. *)
-  rejoin_batch : int;
-      (** Log entries a rejoining replica pulls from the leader per
-          catch-up round (bounded-rate Listing-5 sweep). *)
-  rejoin_idle : int;
-      (** Ns a rejoining replica idles between catch-up rounds, bounding
-          the read pressure it puts on the leader's NIC. *)
   doorbell : int;
       (** Log slots the leader may coalesce into a single doorbell-style
           RDMA write per peer: up to this many already-queued entries are

@@ -41,7 +41,6 @@ let attach ?(canary = Flag) mr ~slots ~value_cap =
   { mr; slots; value_cap; slot_size = slot_size_for ~value_cap; canary }
 
 let mr t = t.mr
-let slots t = t.slots
 let value_cap t = t.value_cap
 let slot_size t = t.slot_size
 let slot_offset t idx = header_size + (idx mod t.slots * t.slot_size)
@@ -91,9 +90,10 @@ let encode_slot t ~proposal ~value =
     (match t.canary with Flag -> '\001' | Checksum -> checksum ~proposal ~value);
   img
 
-let decode_slot ?(canary = Flag) img =
+let decode_slot t img =
   if Bytes.length img < entry_header + 1 then None
-  else decode_image img 0 ~value_cap:(Bytes.length img - entry_header - 1) ~canary
+  else
+    decode_image img 0 ~value_cap:(Bytes.length img - entry_header - 1) ~canary:t.canary
 
 let write_slot_raw_local t idx img =
   let len = Bytes.length img in
@@ -105,6 +105,51 @@ let write_slot_local t idx ~proposal ~value =
 
 let zero_slot_local t idx =
   Rdma.Mr.set_bytes t.mr ~off:(slot_offset t idx) (Bytes.make t.slot_size '\000')
+
+(* --- circular geometry --------------------------------------------- *)
+
+let room_to_wrap t idx = t.slots - (idx mod t.slots)
+let reusable t ~floor ~slack idx = idx - floor < t.slots - slack
+
+let runs t ~from_idx ~to_idx =
+  let count = to_idx - from_idx in
+  if count <= 0 then []
+  else begin
+    assert (count <= t.slots);
+    let first_phys = from_idx mod t.slots in
+    let first_run = min count (t.slots - first_phys) in
+    if first_run = count then [ (first_phys, count) ]
+    else [ (first_phys, first_run); (0, count - first_run) ]
+  end
+
+let advance_fuo t =
+  let progressed = ref false in
+  let continue_ = ref true in
+  while !continue_ do
+    let fuo = fuo t in
+    match read_slot t fuo, read_slot t (fuo + 1) with
+    | Some _, Some _ ->
+      (* Entry [fuo] is decided: the leader would not have started
+         [fuo+1] otherwise (commit piggybacking). *)
+      set_fuo t (fuo + 1);
+      progressed := true
+    | Some _, None | None, _ -> continue_ := false
+  done;
+  !progressed
+
+(* Accepts land contiguously from the FUO, so zeroing forward until the
+   first empty slot erases exactly the undecided tail; the recycling
+   slack guarantees a zeroed gap exists before the scan could wrap into
+   retained decided entries. *)
+let truncate_undecided t =
+  let fuo = fuo t in
+  let idx = ref fuo in
+  while !idx < fuo + t.slots && Bytes.get_int64_le (read_slot_raw t !idx) 0 <> 0L do
+    zero_slot_local t !idx;
+    incr idx
+  done
+
+let complete_from_origin t = fuo t = 0 || read_slot t 0 <> None
 
 let pp ppf t =
   Fmt.pf ppf "log{minProp=%Ld; fuo=%d" (min_proposal t) (fuo t);

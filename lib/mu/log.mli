@@ -22,9 +22,8 @@
     sees the full entry.
 
     Logical slot indices grow without bound; the physical log is circular
-    ({!slot_offset} maps index → offset modulo capacity, §5.3). Recycled
-    slots must be zeroed before reuse so stale canaries cannot be mistaken
-    for fresh entries. *)
+    (§5.3). Recycled slots must be zeroed before reuse so stale canaries
+    cannot be mistaken for fresh entries; see {!section-geometry}. *)
 
 type t
 
@@ -47,7 +46,6 @@ val attach : ?canary:canary_mode -> Rdma.Mr.t -> slots:int -> value_cap:int -> t
     MR is too small. *)
 
 val mr : t -> Rdma.Mr.t
-val slots : t -> int
 val value_cap : t -> int
 
 (** {1 Offsets, for composing one-sided operations} *)
@@ -80,12 +78,68 @@ val encode_slot : t -> proposal:int64 -> value:bytes -> Bytes.t
     the leader RDMA-writes into follower logs. Raises if [value] exceeds
     the value capacity. *)
 
-val decode_slot : ?canary:canary_mode -> Bytes.t -> slot option
-(** Parse a slot image (as produced by {!encode_slot} or read remotely). *)
+val decode_slot : t -> Bytes.t -> slot option
+(** Parse a slot image (as produced by {!encode_slot} or read remotely),
+    checking completeness with this log's canary mode. *)
 
 val write_slot_local : t -> int -> proposal:int64 -> value:bytes -> unit
 val write_slot_raw_local : t -> int -> Bytes.t -> unit
 val zero_slot_local : t -> int -> unit
+
+(** {1:geometry Circular geometry}
+
+    Logical indices grow without bound; the region holds [slots] of them
+    at a time (§5.3). Every rule that maps logical indices onto the
+    physical ring lives here, as a function of the log alone:
+
+    - {!slot_offset}: index → byte offset, modulo capacity;
+    - {!room_to_wrap}: how far a contiguous write may run before the
+      wrap boundary (the leader's doorbell groups);
+    - {!reusable}: the leader's reuse bound against the recycling floor;
+    - {!runs}: a logical range as at most two physical runs (the
+      recycler's zeroing writes);
+    - {!advance_fuo}: the follower's commit-piggyback advance;
+    - {!truncate_undecided}: the restart-time erase of the undecided tail;
+    - {!complete_from_origin}: the durable-restore test.
+
+    The rules trust that the recycler zeroed every slot below the
+    minimum log head before the slot is reused: a slot stores no index
+    or lap, so an entry left over from an earlier lap looks like a
+    current one. {!advance_fuo} and {!complete_from_origin} are
+    {b lap-blind} in exactly this way; when a restored log missed a
+    zeroing round, the piggyback advance can carry the FUO a whole lap
+    past the highest entry written in the current one. *)
+
+val room_to_wrap : t -> int -> int
+(** Slots from index [idx] up to the physical end of the ring: the
+    longest contiguous write starting at [idx]. *)
+
+val reusable : t -> floor:int -> slack:int -> int -> bool
+(** [reusable t ~floor ~slack idx]: index [idx] may be written when every
+    slot below [floor] is zeroed, keeping [slack] slots free:
+    [idx - floor < slots - slack]. *)
+
+val runs : t -> from_idx:int -> to_idx:int -> (int * int) list
+(** The logical range [\[from_idx, to_idx)] as physical
+    [(first slot, count)] runs in ring order: none for an empty range, two
+    when the range wraps. The range must not exceed the capacity. *)
+
+val advance_fuo : t -> bool
+(** Commit piggybacking (Listing 7): entry [i] is decided once entry
+    [i+1] exists, because the leader starts [i+1] only after [i]
+    commits. Moves the FUO over every complete entry whose successor is
+    also complete; returns whether it moved. Lap-blind (see above). *)
+
+val truncate_undecided : t -> unit
+(** Zero the accepted-but-undecided tail: the slots from the FUO up to
+    the first empty one. A restarted replica runs this before rejoining,
+    so a value the cluster overrode while it was down cannot be taken as
+    decided. *)
+
+val complete_from_origin : t -> bool
+(** The log still holds every entry from index 0 up to its FUO (nothing
+    recycled yet), so replaying it alone restores the application.
+    Lap-blind: it checks only that slot 0 is occupied. *)
 
 val pp : t Fmt.t
 (** Debug rendering of header and first non-empty slots. *)

@@ -28,9 +28,5 @@ val acked : Replica.t -> gen:int64 -> int list
 (** Ids (possibly including our own) whose ack slot carries [gen] — read
     from local memory, no communication. *)
 
-val grant_self_local : Replica.t -> gen:int64 -> unit
-(** Process our own request locally without waiting for the spinning
-    thread (used in tests). *)
-
 val poll_interval : int
 (** Virtual ns between scans of the request array. *)

@@ -37,67 +37,55 @@ let read_log_head t (p : Replica.peer) =
 let max_outstanding = 256
 
 (* Zero the physical byte ranges of logical slots [from_idx, to_idx), both
-   locally and in each confirmed follower's log. Ranges are coalesced into
-   at most two contiguous writes (the region may wrap) and chunked so a
-   single write stays modest. Returns [true] when every remote write was
-   posted; [false] when the round was cut short because this replica's
-   standing as leader came into doubt mid-round (permission lost, QP no
-   longer ready, too many unreaped completions) — the caller must then
-   keep the watermark where it was so the next round retries. Local
-   zeroing below [minHead] is safe unconditionally: every replica has
-   executed those entries. *)
+   locally and in each confirmed follower's log. The log splits the range
+   into at most two physical runs (the region may wrap); each run is
+   chunked so a single write stays modest. Returns [true] when every
+   remote write was posted; [false] when the round was cut short because
+   this replica's standing as leader came into doubt mid-round (permission
+   lost, QP no longer ready, too many unreaped completions) — the caller
+   must then keep the watermark where it was so the next round retries.
+   Local zeroing below [minHead] is safe unconditionally: every replica
+   has executed those entries. *)
 let zero_ranges t ~from_idx ~to_idx =
-  if to_idx <= from_idx then true
-  else begin
-    let log = t.Replica.log in
-    let slot_size = Log.slot_size log in
-    let nslots = Log.slots log in
-    let count = to_idx - from_idx in
-    assert (count <= nslots);
-    let first_phys = from_idx mod nslots in
-    let first_run = min count (nslots - first_phys) in
-    let runs =
-      if first_run = count then [ (first_phys, count) ]
-      else [ (first_phys, first_run); (0, count - first_run) ]
-    in
-    let chunk_slots = max 1 (262_144 / slot_size) in
-    let cf = List.filter_map (fun id -> Replica.peer_opt t id) t.Replica.confirmed in
-    let complete = ref true in
-    List.iter
-      (fun (phys_start, run) ->
-        let off = ref 0 in
-        while !off < run do
-          let n = min chunk_slots (run - !off) in
-          let byte_off = Log.slot_offset log (phys_start + !off) in
-          let zeros = Bytes.make (n * slot_size) '\000' in
-          Rdma.Mr.set_bytes (Log.mr log) ~off:byte_off zeros;
-          List.iter
-            (fun p ->
-              (* Demote-safety: between two chunks the permission manager
-                 may have granted our log away (we are being deposed) or
-                 our QP toward this follower may have gone to ERR. Posting
-                 regardless would only manufacture error completions for
-                 the propose path to trip over; stop and let the next
-                 round retry from the old watermark. *)
-              if
-                t.Replica.perm_holder <> Some t.Replica.id
-                || Rdma.Qp.state p.Replica.repl_qp <> Rdma.Verbs.Rts
-                || t.Replica.recycler_outstanding >= max_outstanding
-              then complete := false
-              else begin
-                let wr = Replica.fresh_wr_id t in
-                Hashtbl.replace t.Replica.inflight wr
-                  (p.Replica.pid, Replica.recycler_tag);
-                t.Replica.recycler_outstanding <- t.Replica.recycler_outstanding + 1;
-                Rdma.Qp.post_write p.Replica.repl_qp ~wr_id:wr ~src:zeros ~src_off:0
-                  ~len:(Bytes.length zeros) ~mr:p.Replica.remote_log_mr ~dst_off:byte_off
-              end)
-            cf;
-          off := !off + n
-        done)
-      runs;
-    !complete
-  end
+  let log = t.Replica.log in
+  let slot_size = Log.slot_size log in
+  let chunk_slots = max 1 (262_144 / slot_size) in
+  let cf = List.filter_map (fun id -> Replica.peer_opt t id) t.Replica.confirmed in
+  let complete = ref true in
+  List.iter
+    (fun (phys_start, run) ->
+      let off = ref 0 in
+      while !off < run do
+        let n = min chunk_slots (run - !off) in
+        let byte_off = Log.slot_offset log (phys_start + !off) in
+        let zeros = Bytes.make (n * slot_size) '\000' in
+        Rdma.Mr.set_bytes (Log.mr log) ~off:byte_off zeros;
+        List.iter
+          (fun p ->
+            (* Demote-safety: between two chunks the permission manager
+               may have granted our log away (we are being deposed) or
+               our QP toward this follower may have gone to ERR. Posting
+               regardless would only manufacture error completions for
+               the propose path to trip over; stop and let the next
+               round retry from the old watermark. *)
+            if
+              t.Replica.perm_holder <> Some t.Replica.id
+              || Rdma.Qp.state p.Replica.repl_qp <> Rdma.Verbs.Rts
+              || t.Replica.recycler_outstanding >= max_outstanding
+            then complete := false
+            else begin
+              let wr = Replica.fresh_wr_id t in
+              Hashtbl.replace t.Replica.inflight wr
+                (p.Replica.pid, Replica.recycler_tag);
+              t.Replica.recycler_outstanding <- t.Replica.recycler_outstanding + 1;
+              Rdma.Qp.post_write p.Replica.repl_qp ~wr_id:wr ~src:zeros ~src_off:0
+                ~len:(Bytes.length zeros) ~mr:p.Replica.remote_log_mr ~dst_off:byte_off
+            end)
+          cf;
+        off := !off + n
+      done)
+    (Log.runs log ~from_idx ~to_idx);
+  !complete
 
 (* Decide whether the heads that did answer bound the minimum. Log heads
    of ALL followers are consulted, not just the confirmed ones (§5.3): a

@@ -6,6 +6,8 @@
     [minHead], and zeroes every slot below it — in follower logs via RDMA
     Writes on the replication QPs (it holds write permission) and locally —
     so recycled slots cannot present stale canaries when the log wraps.
+    The log splits a recycled range into physical runs ({!Log.runs});
+    this module reads the heads and posts the writes.
 
     Only an established leader recycles: a new leader first finishes its
     catch-up/update steps, guaranteeing its FUO is at least every

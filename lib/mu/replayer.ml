@@ -1,18 +1,5 @@
-let self_advance_fuo t =
-  let log = t.Replica.log in
-  let progressed = ref false in
-  let continue_ = ref true in
-  while !continue_ do
-    let fuo = Log.fuo log in
-    match Log.read_slot log fuo, Log.read_slot log (fuo + 1) with
-    | Some _, Some _ ->
-      (* Entry [fuo] is decided: the leader would not have started
-         [fuo+1] otherwise (commit piggybacking). *)
-      Log.set_fuo log (fuo + 1);
-      progressed := true
-    | Some _, None | None, _ -> continue_ := false
-  done;
-  !progressed
+(* Follower log-poll period when idle, ns. *)
+let poll_interval = 1_000
 
 let start t =
   Sim.Host.spawn t.Replica.host ~name:"replayer" (fun () ->
@@ -20,13 +7,14 @@ let start t =
         if t.Replica.stop || t.Replica.removed then ()
         else begin
           let advanced =
-            if t.Replica.role = Replica.Follower then self_advance_fuo t else false
+            if t.Replica.role = Replica.Follower then Log.advance_fuo t.Replica.log
+            else false
           in
           let before = t.Replica.applied in
           Replica.apply_committed t;
           let progressed = advanced || t.Replica.applied > before in
           if progressed then Sim.Host.check t.Replica.host
-          else Sim.Host.idle t.Replica.host t.Replica.config.Config.replayer_poll;
+          else Sim.Host.idle t.Replica.host poll_interval;
           loop ()
         end
       in

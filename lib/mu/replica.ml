@@ -83,8 +83,8 @@ let create_unwired eng calib config ~id =
   let log_backing =
     if config.Config.durable_state then
       Some
-        (Recovery.Durable.log_backing (Sim.Engine.nvm eng)
-           ~owner:(durable_owner config ~id) ~size:log_size)
+        (Sim.Nvm.region (Sim.Engine.nvm eng) ~owner:(durable_owner config ~id)
+           ~name:"mu-log" ~size:log_size)
     else None
   in
   let log_mr =
@@ -133,19 +133,6 @@ let create_unwired eng calib config ~id =
   }
 
 let already_wired a b = List.exists (fun p -> p.pid = b.id) a.peers
-
-(* Persist the member list this replica currently sees (self + peers) to
-   its durable meta region; no-op when durable state is off. Pure memory
-   writes — no virtual time, no randomness. *)
-let persist_members t =
-  if t.config.Config.durable_state then begin
-    let meta =
-      Recovery.Durable.meta_backing
-        (Sim.Engine.nvm (engine t))
-        ~owner:(durable_owner t.config ~id:t.id)
-    in
-    Recovery.Durable.write_members meta (t.id :: List.map (fun p -> p.pid) t.peers)
-  end
 
 let wire a b =
   if a.id = b.id then invalid_arg "Replica.wire: cannot wire a replica to itself";
@@ -211,9 +198,7 @@ let wire a b =
     in
     let insert ps p = List.sort (fun x y -> compare x.pid y.pid) (p :: ps) in
     a.peers <- insert a.peers peer_of_b;
-    b.peers <- insert b.peers peer_of_a;
-    persist_members a;
-    persist_members b
+    b.peers <- insert b.peers peer_of_a
   end
 
 let unwire t ~pid =
@@ -234,8 +219,7 @@ let unwire t ~pid =
     if confirmed <> t.confirmed then begin
       t.confirmed <- confirmed;
       t.need_new_followers <- true
-    end;
-    persist_members t
+    end
 
 let create_cluster eng calib config =
   let replicas = Array.init config.Config.n (fun id -> create_unwired eng calib config ~id) in

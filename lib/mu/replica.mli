@@ -100,11 +100,13 @@ val create_cluster :
 
 val create_unwired :
   Sim.Engine.t -> Sim.Calibration.t -> Config.t -> id:int -> t
-(** A replica not yet connected to anyone (for membership changes). *)
+(** A replica not yet connected to anyone (for membership changes). With
+    [config.durable_state] on, its log MR is registered over the
+    {!Sim.Nvm} region ["mu-log"] of its durable owner, so an earlier
+    incarnation's log comes back as it was. *)
 
 val wire : t -> t -> unit
-(** Connect the planes of two replicas (idempotent per pair). When
-    durable state is on, both replicas' member lists are re-persisted. *)
+(** Connect the planes of two replicas (idempotent per pair). *)
 
 val unwire : t -> pid:int -> unit
 (** Tear down this replica's connection to peer [pid]: every QP toward it

@@ -125,6 +125,10 @@ let drain_completion t ~timeout =
 
 (* --- permission acquisition (Listing 2, lines 8-12) ------------------- *)
 
+(* Extra ns the leader waits for stragglers' permission acks before
+   settling on a majority ("Growing confirmed followers", §4.2). *)
+let grow_followers_grace = 100_000
+
 let acquire_followers t =
   tspan t "perm_acquire" @@ fun () ->
   let host = t.Replica.host in
@@ -146,7 +150,7 @@ let acquire_followers t =
   let acks =
     if List.length acks >= Replica.quorum_size t then acks
     else begin
-      Sim.Host.idle host t.Replica.config.Config.grow_followers_grace;
+      Sim.Host.idle host grow_followers_grace;
       Permissions.acked t ~gen
     end
   in
@@ -195,12 +199,7 @@ let copy_remote_slots t (p : Replica.peer) ~from_idx ~to_idx =
         Rdma.Qp.post_read p.Replica.repl_qp ~wr_id ~dst:buf ~dst_off:0 ~len:slot_size
           ~mr:p.Replica.remote_log_mr ~src_off:(Log.slot_offset log idx));
     let _ = await_tag t ~tag ~needed:1 in
-    if
-      Log.decode_slot
-        ~canary:(if t.Replica.config.Config.checksum_canary then Log.Checksum else Log.Flag)
-        buf
-      = None
-    then
+    if Log.decode_slot log buf = None then
       abort t
         (Printf.sprintf "catch-up read of slot %d from %d returned an empty entry" idx
            p.Replica.pid);
@@ -354,12 +353,9 @@ let prepare_phase t ~idx =
       cf
   in
   let ok = await_tag t ~tag ~needed:(List.length cf) in
-  let canary =
-    if t.Replica.config.Config.checksum_canary then Log.Checksum else Log.Flag
-  in
   let remote_slots =
     List.filter_map
-      (fun (pid, buf) -> if List.mem pid ok then Log.decode_slot ~canary buf else None)
+      (fun (pid, buf) -> if List.mem pid ok then Log.decode_slot log buf else None)
       bufs
   in
   let all_slots =
@@ -431,9 +427,8 @@ let accept_phase t ~prop_num ~value ~idx =
 (* --- log-space backpressure (§5.3) ------------------------------------- *)
 
 let wait_log_space t ~idx =
-  let cfg = t.Replica.config in
-  let limit = cfg.Config.log_slots - cfg.Config.recycle_slack in
-  while idx - t.Replica.zeroed_up_to >= limit do
+  let slack = t.Replica.config.Config.recycle_slack in
+  while not (Log.reusable t.Replica.log ~floor:t.Replica.zeroed_up_to ~slack idx) do
     if t.Replica.stop then abort t "stopped";
     Sim.Host.idle t.Replica.host 10_000
   done

@@ -57,7 +57,7 @@ val post_accept_range : Replica.t -> idx:int -> imgs:Bytes.t list -> int
     peer's single completion carries — match acks on it, never on the
     slot index. The range must be non-empty and must not cross the
     circular-log wrap boundary — callers cap group size at
-    [Log.slots - (idx mod Log.slots)]. With [persistent_log], the flush
+    {!Log.room_to_wrap}. With [persistent_log], the flush
     cost is paid once for the group. *)
 
 val remote_majority : Replica.t -> int
@@ -78,4 +78,5 @@ val drain_completion : Replica.t -> timeout:int -> (int * int) option
 
 val wait_log_space : Replica.t -> idx:int -> unit
 (** Block while slot [idx] would overrun the circular log (§5.3 — "the log
-    is never completely full"); the recycler frees space. *)
+    is never completely full"): {!Log.reusable} against the recycler's
+    watermark, keeping [recycle_slack] slots free. *)

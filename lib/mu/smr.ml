@@ -333,7 +333,7 @@ let serve_window t (r : Replica.t) =
       let base = Log.fuo r.Replica.log + inflight_slots () in
       (* One wire write must stay physically contiguous, so a group never
          crosses the circular-log wrap boundary (§5.3). *)
-      let room = Log.slots r.Replica.log - (base mod Log.slots r.Replica.log) in
+      let room = Log.room_to_wrap r.Replica.log base in
       let limit = max 1 (min t.cfg.Config.doorbell room) in
       let batches = ref [ gather_batch t first ] in
       let nbatches = ref 1 in
@@ -788,28 +788,16 @@ let add_replica t () =
 
 (* --- crash recovery: restart + rejoin (tying §5.4 to durable state) ----- *)
 
-(* Durable logs survive a crash with a tail of accepted-but-undecided
-   entries at indices at or past the restored FUO. Those may conflict
-   with values the cluster decided while we were down, and a follower's
-   replayer would otherwise self-advance over them as if they were
-   decided. Accepts land contiguously from the FUO, so zeroing forward
-   until the first empty slot erases exactly the undecided tail; the
-   recycler's slack guarantees a zeroed gap exists before the scan could
-   wrap into retained decided entries. *)
-let truncate_undecided (log : Log.t) =
-  let slots = Log.slots log in
-  let fuo = Log.fuo log in
-  let idx = ref fuo in
-  while !idx < fuo + slots && Bytes.get_int64_le (Log.read_slot_raw log !idx) 0 <> 0L do
-    Log.zero_slot_local log !idx;
-    incr idx
-  done
+(* A rejoining replica pulls [rejoin_batch] entries from the leader per
+   catch-up round and idles [rejoin_idle] ns between rounds, bounding the
+   read pressure it puts on the leader's NIC. *)
+let rejoin_batch = 64
+let rejoin_idle = 20_000
 
 let rejoin_fiber t (newcomer : Replica.t) ~t0 ~span =
   let e = t.engine in
   let id = newcomer.Replica.id in
   let log = newcomer.Replica.log in
-  let canary = if t.cfg.Config.checksum_canary then Log.Checksum else Log.Flag in
   let slot_size = Log.slot_size log in
   let stopped () = newcomer.Replica.stop || newcomer.Replica.removed in
   let leader_peer () =
@@ -851,7 +839,7 @@ let rejoin_fiber t (newcomer : Replica.t) ~t0 ~span =
       if not (read_remote p ~src_off:(Log.slot_offset log idx) ~len:slot_size ~dst:buf)
       then Recovery.Catchup.Unreachable
       else (
-        match Log.decode_slot ~canary buf with
+        match Log.decode_slot log buf with
         | Some _ -> Recovery.Catchup.Entry buf
         | None -> Recovery.Catchup.Recycled)
   in
@@ -872,7 +860,7 @@ let rejoin_fiber t (newcomer : Replica.t) ~t0 ~span =
      and take a fresh checkpoint (§5.4). *)
   let rec restore () =
     if stopped () then false
-    else if Log.fuo log = 0 || Log.read_slot log 0 <> None then begin
+    else if Log.complete_from_origin log then begin
       Replica.apply_committed newcomer;
       publish_head ();
       true
@@ -896,8 +884,7 @@ let rejoin_fiber t (newcomer : Replica.t) ~t0 ~span =
       Sim.Engine.span_point e ~pid:id ~span "restored"
         ~args:[ ("applied", string_of_int newcomer.Replica.applied) ];
     match
-      Recovery.Catchup.run ~batch:t.cfg.Config.rejoin_batch
-        ~idle_ns:t.cfg.Config.rejoin_idle
+      Recovery.Catchup.run ~batch:rejoin_batch ~idle_ns:rejoin_idle
         ~idle:(fun ns -> Sim.Host.idle newcomer.Replica.host ns)
         ~target
         ~fuo:(fun () -> Log.fuo log)
@@ -986,7 +973,12 @@ let restart_fiber t id =
       (* 2. Fresh incarnation on a new host; with durable state on, the
          log MR restores from NVM and the undecided tail is truncated. *)
       let newcomer = Replica.create_unwired t.engine t.calibration t.cfg ~id in
-      truncate_undecided newcomer.Replica.log;
+      (* Durable logs survive a crash with a tail of accepted-but-undecided
+         entries at indices at or past the restored FUO. Those may
+         conflict with values the cluster decided while we were down, and
+         a follower's replayer would otherwise self-advance over them as
+         if they were decided. *)
+      Log.truncate_undecided newcomer.Replica.log;
       let durable_fuo = Log.fuo newcomer.Replica.log in
       (* 3. Rewire the survivors to the new incarnation: tear down every
          stale connection to the dead host, connect fresh QPs, and pin

@@ -118,15 +118,15 @@ val add_replica : t -> unit -> Replica.t
 
 (** {1 Crash recovery}
 
-    With [config.durable_state] on, each replica's log and membership
-    metadata live in simulated NVM ({!Sim.Nvm}) and survive a
-    [kill_host]. {!restart_replica} boots a fresh incarnation under the
-    same id and runs the rejoin pipeline: re-admission via a §5.4
-    configuration entry, durable-log restore (truncating the
-    accepted-but-undecided tail), checkpoint transfer when the durable
-    prefix was recycled, bounded-rate catch-up from the leader
-    ({!Recovery.Catchup}), and — only at exact log parity — plane
-    start-up and confirmed-follower re-entry. *)
+    With [config.durable_state] on, each replica's log lives in simulated
+    NVM ({!Sim.Nvm}) and survives a [kill_host]; membership is rebuilt
+    from the survivors. {!restart_replica} boots a fresh incarnation
+    under the same id and runs the rejoin pipeline: re-admission via a
+    §5.4 configuration entry, durable-log restore (truncating the
+    accepted-but-undecided tail, {!Log.truncate_undecided}), checkpoint
+    transfer when the durable prefix was recycled, bounded-rate catch-up
+    from the leader ({!Recovery.Catchup}), and — only at exact log
+    parity — plane start-up and confirmed-follower re-entry. *)
 
 val restart_replica : t -> id:int -> unit
 (** Restart replica [id] after its host was killed or its process

@@ -174,42 +174,32 @@ let rec on_attr obs ~pid ~tid ~spans =
     on_attr r ~pid ~tid ~spans
 
 (* Telemetry is a non-attributing observer: it counts events and fibers
-   and samples the queue shape on every event, but never claims an
-   interval, so it neither wraps scheduled thunks nor switches on span
-   allocation. Handles are resolved once, here. *)
+   but never claims an interval, so it neither wraps scheduled thunks nor
+   switches on span allocation. The queue-shape gauges are computed when
+   read (sampler ticks and exports), not written on every event;
+   attaching a later engine to the same registry points them at it. *)
 let set_metrics t reg =
   if t.reg <> None then invalid_arg "Engine.set_metrics: a registry is already attached";
   t.reg <- Some reg;
   let module R = Telemetry.Registry in
+  let q = t.events in
   let events = R.counter reg ~help:"Events executed by the engine" "sim_events_total" in
-  let depth = R.gauge reg ~help:"Pending events in the queue" "sim_event_queue_depth" in
+  R.computed_gauge reg ~help:"Pending events in the queue" "sim_event_queue_depth"
+    (fun () -> Wheel.length q);
   let fibers = R.counter reg ~help:"Fibers spawned" "sim_fibers_spawned_total" in
-  let level i =
-    R.gauge reg ~help:"Events stored at this wheel level"
+  for i = 0 to 3 do
+    R.computed_gauge reg ~help:"Events stored at this wheel level"
       ~labels:[ ("level", string_of_int i) ]
       "sim_wheel_level_events"
-  in
-  let l0 = level 0 in
-  let l1 = level 1 in
-  let l2 = level 2 in
-  let l3 = level 3 in
-  let overflow =
-    R.gauge reg ~help:"Events beyond the wheel horizon" "sim_wheel_overflow_events"
-  in
-  let past = R.gauge reg ~help:"Events behind the wheel clock" "sim_wheel_past_events" in
-  let q = t.events in
+      (fun () -> Wheel.level_events q i)
+  done;
+  R.computed_gauge reg ~help:"Events beyond the wheel horizon" "sim_wheel_overflow_events"
+    (fun () -> Wheel.overflow_size q);
+  R.computed_gauge reg ~help:"Events behind the wheel clock" "sim_wheel_past_events"
+    (fun () -> Wheel.past_size q);
   subscribe t
     {
-      prof_event =
-        (fun ~now:_ ->
-          R.Counter.inc events;
-          R.Gauge.set depth (Wheel.length q);
-          R.Gauge.set l0 (Wheel.level_events q 0);
-          R.Gauge.set l1 (Wheel.level_events q 1);
-          R.Gauge.set l2 (Wheel.level_events q 2);
-          R.Gauge.set l3 (Wheel.level_events q 3);
-          R.Gauge.set overflow (Wheel.overflow_size q);
-          R.Gauge.set past (Wheel.past_size q));
+      prof_event = (fun ~now:_ -> R.Counter.inc events);
       prof_attr = (fun ~pid:_ ~tid:_ ~spans:_ -> ());
       prof_fiber = (fun ~tid:_ ~pid:_ ~name:_ -> R.Counter.inc fibers);
       prof_span = (fun ~id:_ ~name:_ -> ());

@@ -145,10 +145,11 @@ val selfcost_queue : selfcost -> int * int * float
     {!metrics} at creation time) costs a single check. *)
 
 val set_metrics : t -> Telemetry.Registry.t -> unit
-(** Attach a metrics registry. The engine registers [sim_events_total],
-    [sim_event_queue_depth], [sim_fibers_spawned_total] and the wheel
-    gauges, and subscribes a counting observer that keeps them current;
-    components created afterwards resolve their own instruments via
+(** Attach a metrics registry. The engine registers [sim_events_total]
+    and [sim_fibers_spawned_total], kept current by a counting observer,
+    and [sim_event_queue_depth] plus the wheel gauges as
+    {!Telemetry.Registry.computed_gauge}s read off the queue on demand
+    (a registry shared by successive engines reports the latest); components created afterwards resolve their own instruments via
     {!metrics}. Raises [Invalid_argument] if a registry is already
     attached. *)
 

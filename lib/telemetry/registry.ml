@@ -6,7 +6,9 @@
    iteration order deterministic. *)
 
 type counter = { mutable cv : int }
-type gauge = { mutable gv : int }
+(* A gauge either holds the last value set or, when [read] is present,
+   computes its value whenever it is read. *)
+type gauge = { mutable gv : int; mutable read : (unit -> int) option }
 
 type kind = Counter of counter | Gauge of gauge | Histogram of Hdr.t
 
@@ -61,9 +63,12 @@ let counter t ?(help = "") ?(labels = []) name =
 let gauge t ?(help = "") ?(labels = []) name =
   register t ~name ~labels ~help ~wanted:"gauge"
     ~make:(fun () ->
-      let g = { gv = 0 } in
+      let g = { gv = 0; read = None } in
       (g, Gauge g))
     ~extract:(function Gauge g -> Some g | _ -> None)
+
+let computed_gauge t ?help ?labels name read =
+  (gauge t ?help ?labels name).read <- Some read
 
 let histogram t ?precision ?(help = "") ?(labels = []) name =
   register t ~name ~labels ~help ~wanted:"histogram"
@@ -95,7 +100,7 @@ module Gauge = struct
 
   let set g v = g.gv <- v
   let add g n = g.gv <- g.gv + n
-  let value g = g.gv
+  let value g = match g.read with Some f -> f () | None -> g.gv
 end
 
 let pp_labels ppf labels =
@@ -109,6 +114,6 @@ let pp ppf t =
     (fun m ->
       match m.kind with
       | Counter c -> Fmt.pf ppf "%s%a %d@." m.name pp_labels m.labels c.cv
-      | Gauge g -> Fmt.pf ppf "%s%a %d@." m.name pp_labels m.labels g.gv
+      | Gauge g -> Fmt.pf ppf "%s%a %d@." m.name pp_labels m.labels (Gauge.value g)
       | Histogram h -> Fmt.pf ppf "%s%a %a@." m.name pp_labels m.labels Hdr.pp h)
     (metrics t)

@@ -35,6 +35,14 @@ val counter : t -> ?help:string -> ?labels:(string * string) list -> string -> c
 
 val gauge : t -> ?help:string -> ?labels:(string * string) list -> string -> gauge
 
+val computed_gauge :
+  t -> ?help:string -> ?labels:(string * string) list -> string -> (unit -> int) -> unit
+(** A gauge whose value is [read ()], computed whenever the gauge is read
+    (sampler ticks, exports), so the instrumented component pays nothing
+    per update. Registering the same (name, labels) again replaces the
+    reader: a registry shared by successive components reports the
+    latest one. *)
+
 val histogram :
   t -> ?precision:int -> ?help:string -> ?labels:(string * string) list -> string -> Hdr.t
 

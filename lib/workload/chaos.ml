@@ -67,9 +67,8 @@ let random_ops rng ~proc ~ops ~think ~keys =
    SMR under leader change stays linearizable. The client_op span labels
    the detached "request" span that [Smr.submit] opens underneath it with
    (proc, req, key, op), so [mu_demo explain] can name the requests caught
-   in a fail-over. A shed reply (degraded leader past its queue bound) is
-   retried after a back-off under the same invocation time: the op is
-   still one history event, it just took longer to admit. *)
+   in a fail-over. The cluster runs with no queue bound, so no reply is
+   ever shed. *)
 let client_fiber e cluster ~proc ~ops ~records ~pending ~on_done =
   Mu.Sharded.wait_live cluster;
   List.iter
@@ -79,14 +78,6 @@ let client_fiber e cluster ~proc ~ops ~records ~pending ~on_done =
       let payload = Apps.Kv_store.encode_command ~client:proc ~req_id:s_req s_cmd in
       let invoked = Sim.Engine.now e in
       Hashtbl.replace pending proc (invoked, s_req, s_cmd);
-      let rec attempt () =
-        let reply = Mu.Sharded.submit cluster ~key payload in
-        if Mu.Smr.is_retryable reply then begin
-          Sim.Engine.sleep e 500_000;
-          attempt ()
-        end
-        else reply
-      in
       let reply =
         Sim.Engine.span_scope e
           ~args:
@@ -100,7 +91,8 @@ let client_fiber e cluster ~proc ~ops ~records ~pending ~on_done =
                 | Apps.Kv_store.Get _ -> "get"
                 | Apps.Kv_store.Delete _ -> "delete" );
             ]
-          "client_op" attempt
+          "client_op"
+          (fun () -> Mu.Sharded.submit cluster ~key payload)
       in
       let responded = Sim.Engine.now e in
       Hashtbl.remove pending proc;
@@ -119,7 +111,7 @@ let client_fiber e cluster ~proc ~ops ~records ~pending ~on_done =
 
 let run ?trace ?metrics ?on_engine ?(provenance = false) ?(shards = 1) ?(clients = 4)
     ?(ops_per_client = 25) ?(think = 0) ?(horizon = 2_000_000_000)
-    ?(durable = true) ?(queue_limit = 0) ?script ~seed ~n scenario =
+    ?(durable = true) ?script ~seed ~n scenario =
   let e =
     Experiments.engine
       { Experiments.default_setup with seed; trace; metrics; provenance; on_engine }
@@ -131,7 +123,6 @@ let run ?trace ?metrics ?on_engine ?(provenance = false) ?(shards = 1) ?(clients
       log_slots = 4096;
       recycle_interval = 1_000_000;
       durable_state = durable;
-      queue_limit;
     }
   in
   let cluster =

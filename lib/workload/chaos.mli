@@ -68,7 +68,6 @@ val run :
   ?think:int ->
   ?horizon:int ->
   ?durable:bool ->
-  ?queue_limit:int ->
   ?script:scripted_op list list ->
   seed:int64 ->
   n:int ->
@@ -89,10 +88,7 @@ val run :
     client's operations — use it to stretch a small (checker-friendly)
     history across a scenario's fault window instead of piling on
     operations. [durable] (default true) backs each replica's log with
-    simulated NVM so [restart] events can recover it; [queue_limit]
-    (default 0 = unbounded) bounds the leader's incoming queue — shed
-    requests answer with {!Mu.Smr.retryable_error} and the clients here
-    back off and retry under the same invocation time. [script]
+    simulated NVM so [restart] events can recover it. [script]
     replaces the random clients with one client per listed op list,
     replayed verbatim; [clients]/[ops_per_client]/[think] are then
     ignored and no client splits the engine PRNG. *)

@@ -143,6 +143,19 @@ let wait_for_leader e (smr : Mu.Smr.t) =
   in
   go ()
 
+(* The first leader, once a boot propose has run its permission round
+   and catch-up, so the measured proposes that follow take the
+   established-leader path. *)
+let establish_leader e smr =
+  let leader = wait_for_leader e smr in
+  let established = Sim.Engine.Ivar.create e in
+  Sim.Host.spawn leader.Mu.Replica.host ~name:"establish" (fun () ->
+      (try ignore (Mu.Replication.propose leader (Bytes.of_string "boot"))
+       with Mu.Replication.Aborted _ -> ());
+      Sim.Engine.Ivar.fill established ());
+  Sim.Engine.Ivar.read established;
+  leader
+
 let attach_cost cal = function
   | Mu.Config.Standalone -> 0
   | Mu.Config.Direct -> cal.Sim.Calibration.direct_interference
@@ -352,13 +365,7 @@ let herd_real setup ~samples ~replicated =
               Mu.Smr.stateless_app (fun _ -> Bytes.empty))
         in
         Mu.Smr.start ~client_service:false smr;
-        let leader = wait_for_leader e smr in
-        let established = Sim.Engine.Ivar.create e in
-        Sim.Host.spawn leader.Mu.Replica.host ~name:"establish" (fun () ->
-            (try ignore (Mu.Replication.propose leader (Bytes.of_string "boot"))
-             with Mu.Replication.Aborted _ -> ());
-            Sim.Engine.Ivar.fill established ());
-        Sim.Engine.Ivar.read established;
+        let leader = establish_leader e smr in
         let handler payload =
           (try ignore (Mu.Replication.propose leader payload)
            with Mu.Replication.Aborted _ -> ());
@@ -409,13 +416,7 @@ let liquibook_real setup ~samples ~replicated =
             ~make_app:(fun _ -> Mu.Smr.stateless_app (fun _ -> Bytes.empty))
         in
         Mu.Smr.start ~client_service:false smr;
-        let leader = wait_for_leader e smr in
-        let established = Sim.Engine.Ivar.create e in
-        Sim.Host.spawn leader.Mu.Replica.host ~name:"establish" (fun () ->
-            (try ignore (Mu.Replication.propose leader (Bytes.of_string "boot"))
-             with Mu.Replication.Aborted _ -> ());
-            Sim.Engine.Ivar.fill established ());
-        Sim.Engine.Ivar.read established;
+        let leader = establish_leader e smr in
         let host = leader.Mu.Replica.host in
         let handler payload =
           (* Capture-replicate-execute (Fig. 1), direct attach mode. *)

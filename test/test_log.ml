@@ -128,15 +128,16 @@ let stale_canary_would_lie_without_zeroing () =
 let decode_slot_roundtrip () =
   let log = make_log () in
   let img = Mu.Log.encode_slot log ~proposal:11L ~value:(Bytes.of_string "roundtrip") in
-  match Mu.Log.decode_slot img with
+  match Mu.Log.decode_slot log img with
   | Some { Mu.Log.proposal; value } ->
     Alcotest.(check int64) "proposal" 11L proposal;
     Alcotest.(check string) "value" "roundtrip" (Bytes.to_string value)
   | None -> Alcotest.fail "decode failed"
 
 let decode_garbage_is_none () =
-  check "short" true (Mu.Log.decode_slot (Bytes.make 4 'x') = None);
-  check "zeros" true (Mu.Log.decode_slot (Bytes.make 64 '\000') = None)
+  let log = make_log () in
+  check "short" true (Mu.Log.decode_slot log (Bytes.make 4 'x') = None);
+  check "zeros" true (Mu.Log.decode_slot log (Bytes.make 64 '\000') = None)
 
 let required_size_consistent () =
   let slots = 32 and value_cap = 100 in

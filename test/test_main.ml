@@ -18,6 +18,7 @@ let () =
       ("dare-election", Test_dare_election.suite);
       ("workload", Test_workload.suite);
       ("replayer-recycler", Test_replayer.suite);
+      ("storage", Test_storage.suite);
       ("invariants", Test_invariants.suite);
       ("faults", Test_faults.suite);
       ("recovery", Test_recovery.suite);

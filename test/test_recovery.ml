@@ -29,21 +29,6 @@ let nvm_regions_persist () =
   Sim.Nvm.erase nvm ~owner:0 ~name:"log";
   check "erase forgets" false (Sim.Nvm.mem nvm ~owner:0 ~name:"log")
 
-let durable_members_roundtrip () =
-  let nvm = Sim.Nvm.create () in
-  check "no durable state yet" false (Recovery.Durable.has_durable_state nvm ~owner:3);
-  let meta = Recovery.Durable.meta_backing nvm ~owner:3 in
-  check "blank meta decodes to None" true (Recovery.Durable.read_members meta = None);
-  Recovery.Durable.write_members meta [ 2; 0; 1; 1 ];
-  check "members round-trip sorted+deduped" true
-    (Recovery.Durable.read_members meta = Some [ 0; 1; 2 ]);
-  Recovery.Durable.write_members meta [ 0; 2 ];
-  check "overwrite shrinks" true (Recovery.Durable.read_members meta = Some [ 0; 2 ]);
-  (* The log region is what [has_durable_state] keys on. *)
-  ignore (Recovery.Durable.log_backing nvm ~owner:3 ~size:256);
-  check "durable state after log creation" true
-    (Recovery.Durable.has_durable_state nvm ~owner:3)
-
 (* --- catch-up driver (pure closures) ------------------------------------- *)
 
 let catchup_reaches_parity () =
@@ -398,7 +383,6 @@ let durable_off_run_is_unchanged () =
 let suite =
   [
     ("nvm regions persist", `Quick, nvm_regions_persist);
-    ("durable members round-trip", `Quick, durable_members_roundtrip);
     ("catch-up reaches parity", `Quick, catchup_reaches_parity);
     ("catch-up recheckpoints after recycle", `Quick, catchup_recheckpoints_after_recycle);
     ("catch-up stops and waits", `Quick, catchup_stops_and_waits);

@@ -32,10 +32,10 @@ let self_advance_needs_successor () =
   let r = rs.(1) in
   fill_slot r 0 "a";
   (* Listing 7: entry 0 is only known committed once entry 1 exists. *)
-  check "no successor, no advance" false (Mu.Replayer.self_advance_fuo r);
+  check "no successor, no advance" false (Mu.Log.advance_fuo r.Mu.Replica.log);
   check_int "fuo still 0" 0 (Mu.Log.fuo r.Mu.Replica.log);
   fill_slot r 1 "b";
-  check "advances with successor" true (Mu.Replayer.self_advance_fuo r);
+  check "advances with successor" true (Mu.Log.advance_fuo r.Mu.Replica.log);
   check_int "fuo = 1 (entry 1 still pending)" 1 (Mu.Log.fuo r.Mu.Replica.log)
 
 let self_advance_runs_over_prefix () =
@@ -44,7 +44,7 @@ let self_advance_runs_over_prefix () =
   for i = 0 to 5 do
     fill_slot r i (string_of_int i)
   done;
-  ignore (Mu.Replayer.self_advance_fuo r);
+  ignore (Mu.Log.advance_fuo r.Mu.Replica.log);
   check_int "fuo reaches the last-but-one entry" 5 (Mu.Log.fuo r.Mu.Replica.log)
 
 let self_advance_stops_at_hole () =
@@ -54,7 +54,7 @@ let self_advance_stops_at_hole () =
   fill_slot r 1 "b";
   fill_slot r 3 "d";
   (* hole at 2 *)
-  ignore (Mu.Replayer.self_advance_fuo r);
+  ignore (Mu.Log.advance_fuo r.Mu.Replica.log);
   check_int "stops before the hole" 1 (Mu.Log.fuo r.Mu.Replica.log)
 
 let replayer_fiber_applies_and_publishes_head () =
@@ -97,8 +97,8 @@ let leader_does_not_self_advance () =
   r.Mu.Replica.role <- Mu.Replica.Leader;
   fill_slot r 0 "a";
   fill_slot r 1 "b";
-  (* The fiber guards on the follower role; the helper itself is exposed
-     for tests, so emulate the guard here. *)
+  (* The fiber guards on the follower role; the log's rule itself knows
+     no roles, so emulate the guard here. *)
   check "fiber guard"
     true
     (r.Mu.Replica.role = Mu.Replica.Leader);

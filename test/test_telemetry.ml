@@ -120,6 +120,24 @@ let registry_label_canonicalisation () =
       "labels sorted" [ ("a", "1"); ("b", "2") ] m.T.Registry.labels
   | ms -> Alcotest.failf "expected 1 metric, got %d" (List.length ms)
 
+(* A computed gauge is read, not written: its value follows the source,
+   and registering the name again points it at a new source. *)
+let registry_computed_gauge () =
+  let reg = T.Registry.create () in
+  let src = ref 3 in
+  T.Registry.computed_gauge reg "depth" (fun () -> !src);
+  let value () =
+    match T.Registry.find reg "depth" with
+    | Some { T.Registry.kind = T.Registry.Gauge g; _ } -> T.Registry.Gauge.value g
+    | _ -> Alcotest.fail "depth not registered as a gauge"
+  in
+  check_int "reads the source" 3 (value ());
+  src := 5;
+  check_int "follows the source" 5 (value ());
+  T.Registry.computed_gauge reg "depth" (fun () -> 11);
+  check_int "re-registering replaces the reader" 11 (value ());
+  check_int "still one metric" 1 (List.length (T.Registry.metrics reg))
+
 (* --- Sampler -------------------------------------------------------------- *)
 
 let sampler_epochs () =
@@ -355,6 +373,7 @@ let suite =
     ("hdr merge associative", `Quick, hdr_merge_associative);
     ("registry find-or-create", `Quick, registry_find_or_create);
     ("registry label canonicalisation", `Quick, registry_label_canonicalisation);
+    ("registry computed gauge", `Quick, registry_computed_gauge);
     ("sampler epochs", `Quick, sampler_epochs);
     ("sampler decimation cap", `Quick, sampler_decimation_cap);
     ("sampler subscribe", `Quick, sampler_subscribe);
